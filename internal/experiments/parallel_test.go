@@ -8,14 +8,21 @@ import (
 	"imca/internal/telemetry"
 )
 
-// renderAll runs every experiment in the registry with the given options
-// and renders everything a user can see — tables, notes, breakdowns,
-// telemetry dumps, and the Chrome-trace export of retained operations —
-// into one byte stream.
-func renderAll(t *testing.T, o Options) []byte {
+// rendered is one registry figure as a user sees it.
+type rendered struct {
+	name string
+	out  []byte
+}
+
+// renderFigures runs every experiment in the registry with the given
+// options and renders everything a user can see — tables, notes,
+// breakdowns, telemetry dumps, and the Chrome-trace export of retained
+// operations — one byte stream per figure, in registry order.
+func renderFigures(t *testing.T, o Options) []rendered {
 	t.Helper()
-	var buf bytes.Buffer
+	figs := make([]rendered, 0, len(Registry))
 	for _, e := range Registry {
+		var buf bytes.Buffer
 		res := e.Run(o)
 		fmt.Fprintf(&buf, "== %s ==\n", res.Name)
 		res.Table.Render(&buf)
@@ -34,6 +41,21 @@ func renderAll(t *testing.T, o Options) []byte {
 				t.Fatalf("%s: trace export: %v", res.Name, err)
 			}
 		}
+		figs = append(figs, rendered{name: e.Name, out: buf.Bytes()})
+	}
+	return figs
+}
+
+// renderAll is renderFigures joined into one byte stream.
+func renderAll(t *testing.T, o Options) []byte {
+	t.Helper()
+	return joinFigures(renderFigures(t, o))
+}
+
+func joinFigures(figs []rendered) []byte {
+	var buf bytes.Buffer
+	for _, f := range figs {
+		buf.Write(f.out)
 	}
 	return buf.Bytes()
 }
@@ -45,7 +67,9 @@ func renderAll(t *testing.T, o Options) []byte {
 // assembled in declaration order, so host scheduling must be invisible.
 func TestParallelByteIdentical(t *testing.T) {
 	o := Options{Scale: 4096, Breakdown: true, Telemetry: true, TraceOps: true}
-	serial := renderAll(t, o)
+	figs := renderFigures(t, o)
+	checkDigests(t, figs)
+	serial := joinFigures(figs)
 	o.Workers = 4
 	par := renderAll(t, o)
 	if !bytes.Equal(serial, par) {
