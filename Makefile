@@ -11,9 +11,9 @@ vet:
 	$(GO) vet ./...
 
 # Whole-program static analysis: determinism invariants (wallclock, rand,
-# maprange, nogoroutine, tickpurity) plus hot-path allocation, task-engine
-# parity, instrumentation completeness, and error-drop checks, run against
-# the committed lint.baseline. See DESIGN.md "Static analysis".
+# maprange, nogoroutine, tickpurity) plus hot-path allocation,
+# instrumentation completeness, and error-drop checks — eight in all — run
+# against the committed lint.baseline. See DESIGN.md "Static analysis".
 lint:
 	$(GO) run ./cmd/imcalint ./...
 

@@ -68,7 +68,7 @@ import (
 
 type shell struct {
 	c     *cluster.Cluster
-	fs    gluster.FS
+	fs    gluster.Sync
 	fds   map[string]gluster.FD
 	col   *optrace.Collector
 	reg   *telemetry.Registry
@@ -93,7 +93,7 @@ func main() {
 	})
 	reg := telemetry.NewRegistry()
 	c.Instrument(reg)
-	sh := &shell{c: c, fs: c.Mounts[0].FS, fds: make(map[string]gluster.FD), col: optrace.NewCollector(), reg: reg}
+	sh := &shell{c: c, fs: gluster.Sync{FS: c.Mounts[0].FS}, fds: make(map[string]gluster.FD), col: optrace.NewCollector(), reg: reg}
 	sh.inj = fault.NewInjector(c)
 	sh.inj.Register(reg, "fault")
 	if *flightN > 0 {

@@ -13,6 +13,7 @@ import (
 
 	"imca/internal/blob"
 	"imca/internal/cluster"
+	"imca/internal/gluster"
 	"imca/internal/sim"
 )
 
@@ -23,7 +24,7 @@ func main() {
 		MCDMemBytes: 64 << 20,
 		BlockSize:   2048,
 	})
-	fs := c.Mounts[0].FS
+	fs := gluster.Sync{FS: c.Mounts[0].FS}
 
 	c.Env.Process("demo", func(p *sim.Proc) {
 		fd, err := fs.Create(p, "/critical/ledger")

@@ -12,6 +12,7 @@ import (
 
 	"imca/internal/blob"
 	"imca/internal/cluster"
+	"imca/internal/gluster"
 	"imca/internal/sim"
 )
 
@@ -24,7 +25,7 @@ func main() {
 		MCDMemBytes: 64 << 20,
 		BlockSize:   2048,
 	})
-	fs := c.Mounts[0].FS
+	fs := gluster.Sync{FS: c.Mounts[0].FS}
 
 	c.Env.Process("quickstart", func(p *sim.Proc) {
 		fd, err := fs.Create(p, "/demo/hello.dat")

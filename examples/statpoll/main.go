@@ -33,7 +33,7 @@ func main() {
 		MCDMemBytes: 64 << 20,
 	})
 
-	producer := c.Mounts[0].FS
+	producer := gluster.Sync{FS: c.Mounts[0].FS}
 	done := false
 
 	c.Env.Process("producer", func(p *sim.Proc) {
@@ -54,7 +54,7 @@ func main() {
 	consumed := make([]int, consumers)
 	for ci := 0; ci < consumers; ci++ {
 		ci := ci
-		fs := c.Mounts[1+ci].FS
+		fs := gluster.Sync{FS: c.Mounts[1+ci].FS}
 		c.Env.Process(fmt.Sprintf("consumer%d", ci), func(p *sim.Proc) {
 			// Wait for the file to appear.
 			var fd gluster.FD

@@ -53,8 +53,8 @@ func TestSelectorPropagates(t *testing.T) {
 	// Consecutive blocks written through the stack must land round-robin.
 	c.Env.Process("t", func(p *sim.Proc) {
 		fs := c.Mounts[0].FS
-		fd, _ := fs.Create(p, "/sel/f")
-		fs.Write(p, fd, 0, blob.Synthetic(1, 0, 8192)) // 4 blocks
+		fd, _ := blocking(fs).Create(p, "/sel/f")
+		blocking(fs).Write(p, fd, 0, blob.Synthetic(1, 0, 8192)) // 4 blocks
 	})
 	c.Env.Run()
 	for i, m := range c.MCDs {
@@ -89,30 +89,30 @@ func TestMultiBrickWithIMCaEndToEnd(t *testing.T) {
 	c := New(Options{Clients: 2, Bricks: 2, MCDs: 2, MCDMemBytes: 64 << 20, BlockSize: 2048})
 	c.Env.Process("t", func(p *sim.Proc) {
 		w := c.Mounts[0].FS
-		fd, err := w.Create(p, "/mb/data")
+		fd, err := blocking(w).Create(p, "/mb/data")
 		if err != nil {
 			t.Fatal(err)
 		}
 		payload := blob.Synthetic(5, 0, 16<<10)
-		w.Write(p, fd, 0, payload)
+		blocking(w).Write(p, fd, 0, payload)
 
 		// The second client reads through its own distribute stack; the
 		// data should come from the bank regardless of which brick owns
 		// the file.
 		r := c.Mounts[1].FS
-		rfd, err := r.Open(p, "/mb/data") // purges the file's blocks (paper §4.3.2)
+		rfd, err := blocking(r).Open(p, "/mb/data") // purges the file's blocks (paper §4.3.2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.Read(p, rfd, 0, 16<<10) // miss -> owning brick -> re-push
+		got, err := blocking(r).Read(p, rfd, 0, 16<<10) // miss -> owning brick -> re-push
 		if err != nil || !got.Equal(payload) {
 			t.Fatalf("cross-brick read wrong: %v", err)
 		}
-		got, err = r.Read(p, rfd, 0, 16<<10) // now served by the bank
+		got, err = blocking(r).Read(p, rfd, 0, 16<<10) // now served by the bank
 		if err != nil || !got.Equal(payload) {
 			t.Fatalf("second cross-brick read wrong: %v", err)
 		}
-		st, err := r.Stat(p, "/mb/data")
+		st, err := blocking(r).Stat(p, "/mb/data")
 		if err != nil || st.Size != 16<<10 {
 			t.Fatalf("stat = %+v, %v", st, err)
 		}
@@ -137,9 +137,9 @@ func TestBankStatsAggregates(t *testing.T) {
 	c := New(Options{Clients: 1, MCDs: 3, MCDMemBytes: 32 << 20})
 	c.Env.Process("t", func(p *sim.Proc) {
 		fs := c.Mounts[0].FS
-		fd, _ := fs.Create(p, "/bs/f")
-		fs.Write(p, fd, 0, blob.Synthetic(1, 0, 8192))
-		fs.Read(p, fd, 0, 8192)
+		fd, _ := blocking(fs).Create(p, "/bs/f")
+		blocking(fs).Write(p, fd, 0, blob.Synthetic(1, 0, 8192))
+		blocking(fs).Read(p, fd, 0, 8192)
 	})
 	c.Env.Run()
 	st := c.BankStats()

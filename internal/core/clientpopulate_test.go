@@ -49,19 +49,19 @@ func TestClientPopulateLustreReadMissFillsBank(t *testing.T) {
 	r := newLustreIMCaRig(t, 1, 1)
 	r.env.Process("t", func(p *sim.Proc) {
 		fs := r.mounts[0]
-		fd, err := fs.Create(p, "/lx/file")
+		fd, err := blocking(fs).Create(p, "/lx/file")
 		if err != nil {
 			t.Fatal(err)
 		}
 		payload := blob.Synthetic(5, 0, 16<<10)
-		fs.Write(p, fd, 0, payload)
+		blocking(fs).Write(p, fd, 0, payload)
 		// The write pushed blocks; flush to force a miss path too.
 		r.mcds[0].Store().FlushAll()
-		got, err := fs.Read(p, fd, 0, 16<<10) // miss -> lustre -> push
+		got, err := blocking(fs).Read(p, fd, 0, 16<<10) // miss -> lustre -> push
 		if err != nil || !got.Equal(payload) {
 			t.Fatalf("miss read wrong: %v", err)
 		}
-		got2, err := fs.Read(p, fd, 0, 16<<10) // now a bank hit
+		got2, err := blocking(fs).Read(p, fd, 0, 16<<10) // now a bank hit
 		if err != nil || !got2.Equal(payload) {
 			t.Fatalf("hit read wrong: %v", err)
 		}
@@ -77,15 +77,15 @@ func TestClientPopulateSharedReadersAvoidOSTs(t *testing.T) {
 	r := newLustreIMCaRig(t, 4, 2)
 	r.env.Process("t", func(p *sim.Proc) {
 		w := r.mounts[0]
-		fd, _ := w.Create(p, "/shared/data")
-		w.Write(p, fd, 0, blob.Synthetic(9, 0, 64<<10))
+		fd, _ := blocking(w).Create(p, "/shared/data")
+		blocking(w).Write(p, fd, 0, blob.Synthetic(9, 0, 64<<10))
 
 		for ci := 1; ci < 4; ci++ {
-			rfd, err := r.mounts[ci].Open(p, "/shared/data")
+			rfd, err := blocking(r.mounts[ci]).Open(p, "/shared/data")
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := r.mounts[ci].Read(p, rfd, 0, 64<<10)
+			got, err := blocking(r.mounts[ci]).Read(p, rfd, 0, 64<<10)
 			if err != nil || !got.Equal(blob.Synthetic(9, 0, 64<<10)) {
 				t.Fatalf("reader %d wrong data: %v", ci, err)
 			}
@@ -104,9 +104,9 @@ func TestClientPopulateStatFromBank(t *testing.T) {
 	r := newLustreIMCaRig(t, 2, 1)
 	r.env.Process("t", func(p *sim.Proc) {
 		w := r.mounts[0]
-		fd, _ := w.Create(p, "/s/f")
-		w.Write(p, fd, 0, blob.Synthetic(1, 0, 5000))
-		st, err := r.mounts[1].Stat(p, "/s/f")
+		fd, _ := blocking(w).Create(p, "/s/f")
+		blocking(w).Write(p, fd, 0, blob.Synthetic(1, 0, 5000))
+		st, err := blocking(r.mounts[1]).Stat(p, "/s/f")
 		if err != nil || st.Size != 5000 {
 			t.Fatalf("stat via bank = %+v, %v", st, err)
 		}
@@ -121,12 +121,12 @@ func TestClientPopulateUnalignedWriteReadBack(t *testing.T) {
 	r := newLustreIMCaRig(t, 1, 1)
 	r.env.Process("t", func(p *sim.Proc) {
 		fs := r.mounts[0]
-		fd, _ := fs.Create(p, "/u/f")
-		fs.Write(p, fd, 0, blob.Synthetic(3, 0, 10000))
+		fd, _ := blocking(fs).Create(p, "/u/f")
+		blocking(fs).Write(p, fd, 0, blob.Synthetic(3, 0, 10000))
 		// Unaligned overwrite: push must re-read the covering span so
 		// the bank's blocks stay whole.
-		fs.Write(p, fd, 1000, blob.FromString("XYZ"))
-		got, err := fs.Read(p, fd, 0, 10000)
+		blocking(fs).Write(p, fd, 1000, blob.FromString("XYZ"))
+		got, err := blocking(fs).Read(p, fd, 0, 10000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,10 +149,10 @@ func TestClientPopulateOffByDefault(t *testing.T) {
 	r.caches[0] = NewCMCache(r.lclients[0], memcache.NewSimClient(r.lclients[0].Node(), r.mcds), Config{BlockSize: 2048})
 	fs := gluster.FS(r.caches[0])
 	r.env.Process("t", func(p *sim.Proc) {
-		fd, _ := fs.Create(p, "/plain/f")
-		fs.Write(p, fd, 0, blob.Synthetic(1, 0, 4096))
-		fs.Read(p, fd, 0, 4096)
-		fs.Read(p, fd, 0, 4096)
+		fd, _ := blocking(fs).Create(p, "/plain/f")
+		blocking(fs).Write(p, fd, 0, blob.Synthetic(1, 0, 4096))
+		blocking(fs).Read(p, fd, 0, 4096)
+		blocking(fs).Read(p, fd, 0, 4096)
 	})
 	r.env.Run()
 	if got := r.mcds[0].Store().Len(); got != 0 {

@@ -53,7 +53,7 @@ func TestIMCaRandomOpsMatchReference(t *testing.T) {
 			const fileMax = 64 << 10
 
 			r.run(t, func(p *sim.Proc) {
-				fd, err := r.client.Create(p, "/fuzz/f")
+				fd, err := blocking(r.client).Create(p, "/fuzz/f")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,14 +63,14 @@ func TestIMCaRandomOpsMatchReference(t *testing.T) {
 						off := int64(rng.next() % fileMax)
 						size := int64(rng.next()%5000) + 1
 						payload := blob.Synthetic(rng.next()|1, int64(op)*7, size)
-						if _, err := r.client.Write(p, fd, off, payload); err != nil {
+						if _, err := blocking(r.client).Write(p, fd, off, payload); err != nil {
 							t.Fatalf("op %d write: %v", op, err)
 						}
 						ref.write(off, payload.Bytes())
 					case 3, 4, 5, 6, 7: // read
 						off := int64(rng.next() % (fileMax + 4096))
 						size := int64(rng.next()%9000) + 1
-						got, err := r.client.Read(p, fd, off, size)
+						got, err := blocking(r.client).Read(p, fd, off, size)
 						if err != nil {
 							t.Fatalf("op %d read: %v", op, err)
 						}
@@ -86,7 +86,7 @@ func TestIMCaRandomOpsMatchReference(t *testing.T) {
 							}
 						}
 					case 8: // stat
-						st, err := r.client.Stat(p, "/fuzz/f")
+						st, err := blocking(r.client).Stat(p, "/fuzz/f")
 						if err != nil {
 							t.Fatalf("op %d stat: %v", op, err)
 						}
@@ -99,11 +99,11 @@ func TestIMCaRandomOpsMatchReference(t *testing.T) {
 							r.mcds[int(rng.next()%uint64(len(r.mcds)))].Store().FlushAll()
 						case 1:
 							// Reopen: purges data blocks server-side.
-							nfd, err := r.client.Open(p, "/fuzz/f")
+							nfd, err := blocking(r.client).Open(p, "/fuzz/f")
 							if err != nil {
 								t.Fatalf("op %d reopen: %v", op, err)
 							}
-							r.client.Close(p, fd)
+							blocking(r.client).Close(p, fd)
 							fd = nfd
 						case 2:
 							r.posix.Cache().Clear() // cold server page cache
@@ -125,14 +125,14 @@ func TestIMCaMultiClientRandomSharedReads(t *testing.T) {
 	ref := &refFile{}
 	env.Process("driver", func(p *sim.Proc) {
 		w := mounts[0]
-		fd, err := w.Create(p, "/m/shared")
+		fd, err := blocking(w).Create(p, "/m/shared")
 		if err != nil {
 			t.Fatal(err)
 		}
 		rfds := make([]gluster.FD, len(mounts))
 		rfds[0] = fd
 		for i := 1; i < len(mounts); i++ {
-			if rfds[i], err = mounts[i].Open(p, "/m/shared"); err != nil {
+			if rfds[i], err = blocking(mounts[i]).Open(p, "/m/shared"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -140,7 +140,7 @@ func TestIMCaMultiClientRandomSharedReads(t *testing.T) {
 			off := int64(rng.next() % 30000)
 			size := int64(rng.next()%4000) + 1
 			payload := blob.Synthetic(rng.next()|1, int64(round), size)
-			if _, err := w.Write(p, fd, off, payload); err != nil {
+			if _, err := blocking(w).Write(p, fd, off, payload); err != nil {
 				t.Fatal(err)
 			}
 			ref.write(off, payload.Bytes())
@@ -148,7 +148,7 @@ func TestIMCaMultiClientRandomSharedReads(t *testing.T) {
 			reader := 1 + int(rng.next()%uint64(len(mounts)-1))
 			roff := int64(rng.next() % 32000)
 			rsize := int64(rng.next()%6000) + 1
-			got, err := mounts[reader].Read(p, rfds[reader], roff, rsize)
+			got, err := blocking(mounts[reader]).Read(p, rfds[reader], roff, rsize)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,20 +15,20 @@ import (
 func TestMCDFailureDoesNotLoseData(t *testing.T) {
 	r := newRig(t, 2, Config{BlockSize: 2048})
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/ha/file")
+		fd, _ := blocking(r.client).Create(p, "/ha/file")
 		payload := blob.Synthetic(7, 0, 32<<10)
-		if _, err := r.client.Write(p, fd, 0, payload); err != nil {
+		if _, err := blocking(r.client).Write(p, fd, 0, payload); err != nil {
 			t.Fatal(err)
 		}
 		// Kill the whole bank after the data is cached.
 		for _, m := range r.mcds {
 			m.Fail()
 		}
-		got, err := r.client.Read(p, fd, 0, 32<<10)
+		got, err := blocking(r.client).Read(p, fd, 0, 32<<10)
 		if err != nil || !got.Equal(payload) {
 			t.Fatalf("read with dead bank wrong: %v", err)
 		}
-		st, err := r.client.Stat(p, "/ha/file")
+		st, err := blocking(r.client).Stat(p, "/ha/file")
 		if err != nil || st.Size != 32<<10 {
 			t.Fatalf("stat with dead bank: %+v, %v", st, err)
 		}
@@ -43,13 +43,13 @@ func TestMCDFailureDuringWritesIsInvisible(t *testing.T) {
 	// silently dropped.
 	r := newRig(t, 1, Config{BlockSize: 2048})
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/ha/w")
+		fd, _ := blocking(r.client).Create(p, "/ha/w")
 		r.mcds[0].Fail()
 		payload := blob.Synthetic(3, 0, 8192)
-		if _, err := r.client.Write(p, fd, 0, payload); err != nil {
+		if _, err := blocking(r.client).Write(p, fd, 0, payload); err != nil {
 			t.Fatalf("write with dead bank: %v", err)
 		}
-		got, err := r.client.Read(p, fd, 0, 8192)
+		got, err := blocking(r.client).Read(p, fd, 0, 8192)
 		if err != nil || !got.Equal(payload) {
 			t.Fatal("data written during outage lost")
 		}
@@ -59,17 +59,17 @@ func TestMCDFailureDuringWritesIsInvisible(t *testing.T) {
 func TestMCDRecoveryRepopulatesOnAccess(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/ha/r")
+		fd, _ := blocking(r.client).Create(p, "/ha/r")
 		payload := blob.Synthetic(5, 0, 4096)
-		r.client.Write(p, fd, 0, payload)
+		blocking(r.client).Write(p, fd, 0, payload)
 		r.mcds[0].Fail()
-		r.client.Read(p, fd, 0, 4096) // served by the server; push dropped
+		blocking(r.client).Read(p, fd, 0, 4096) // served by the server; push dropped
 		r.mcds[0].Recover()
 		if r.mcds[0].Store().Len() != 0 {
 			t.Fatal("restarted daemon should be empty")
 		}
-		r.client.Read(p, fd, 0, 4096) // miss -> server -> re-push
-		got, err := r.client.Read(p, fd, 0, 4096)
+		blocking(r.client).Read(p, fd, 0, 4096) // miss -> server -> re-push
+		got, err := blocking(r.client).Read(p, fd, 0, 4096)
 		if err != nil || !got.Equal(payload) {
 			t.Fatal("post-recovery read wrong")
 		}
@@ -86,12 +86,12 @@ func TestPartialBankFailureOnlyDegradesSomeKeys(t *testing.T) {
 	// With 4 MCDs and one dead, keys on the survivors keep hitting.
 	r := newRig(t, 4, Config{BlockSize: 2048})
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/ha/p")
-		r.client.Write(p, fd, 0, blob.Synthetic(9, 0, 64<<10))
+		fd, _ := blocking(r.client).Create(p, "/ha/p")
+		blocking(r.client).Write(p, fd, 0, blob.Synthetic(9, 0, 64<<10))
 		r.mcds[0].Fail()
 		// Read every block individually; some hit, some miss, all correct.
 		for off := int64(0); off < 64<<10; off += 2048 {
-			got, err := r.client.Read(p, fd, off, 2048)
+			got, err := blocking(r.client).Read(p, fd, off, 2048)
 			if err != nil || !got.Equal(blob.Synthetic(9, off, 2048)) {
 				t.Fatalf("block at %d wrong after partial failure: %v", off, err)
 			}
@@ -112,15 +112,15 @@ func TestFailedMCDStillCostsARoundTrip(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
 	var healthy, dead sim.Duration
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/ha/t")
-		r.client.Write(p, fd, 0, blob.Synthetic(1, 0, 2048))
+		fd, _ := blocking(r.client).Create(p, "/ha/t")
+		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 2048))
 		start := p.Now()
-		r.client.Read(p, fd, 0, 2048)
+		blocking(r.client).Read(p, fd, 0, 2048)
 		healthy = p.Now().Sub(start)
 
 		r.mcds[0].Fail()
 		start = p.Now()
-		r.client.Read(p, fd, 0, 2048)
+		blocking(r.client).Read(p, fd, 0, 2048)
 		dead = p.Now().Sub(start)
 	})
 	if dead <= healthy {

@@ -35,7 +35,7 @@ type Config struct {
 	// (the default), and 8 KB.
 	BlockSize int64
 	// Threaded moves SMCache's MCD updates off the request critical path
-	// onto a helper process (the paper's proposed optimization for Write
+	// onto a helper task (the paper's proposed optimization for Write
 	// latency).
 	Threaded bool
 	// ClientPopulate makes CMCache itself feed the MCD bank after read

@@ -57,15 +57,15 @@ func (r *rig) run(t *testing.T, fn func(p *sim.Proc)) {
 func TestIMCaWriteThenReadHitsCache(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
 	r.run(t, func(p *sim.Proc) {
-		fd, err := r.client.Create(p, "/bench/f")
+		fd, err := blocking(r.client).Create(p, "/bench/f")
 		if err != nil {
 			t.Fatal(err)
 		}
 		payload := blob.Synthetic(3, 0, 8192)
-		if _, err := r.client.Write(p, fd, 0, payload); err != nil {
+		if _, err := blocking(r.client).Write(p, fd, 0, payload); err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.client.Read(p, fd, 0, 8192)
+		got, err := blocking(r.client).Read(p, fd, 0, 8192)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,16 +87,16 @@ func TestIMCaColdReadMissesThenHits(t *testing.T) {
 	r.run(t, func(p *sim.Proc) {
 		// Populate the file, then flush the MCD bank to simulate cold
 		// cache (without reopening, which would purge anyway).
-		fd, _ := r.client.Create(p, "/f")
-		r.client.Write(p, fd, 0, blob.Synthetic(1, 0, 4096))
+		fd, _ := blocking(r.client).Create(p, "/f")
+		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 4096))
 		for _, m := range r.mcds {
 			m.Store().FlushAll()
 		}
-		got, err := r.client.Read(p, fd, 0, 4096) // miss -> server
+		got, err := blocking(r.client).Read(p, fd, 0, 4096) // miss -> server
 		if err != nil || got.Len() != 4096 {
 			t.Fatalf("cold read: %d bytes, %v", got.Len(), err)
 		}
-		got2, err := r.client.Read(p, fd, 0, 4096) // server pushed -> hit
+		got2, err := blocking(r.client).Read(p, fd, 0, 4096) // server pushed -> hit
 		if err != nil || !got2.Equal(got) {
 			t.Fatalf("warm read mismatch: %v", err)
 		}
@@ -110,11 +110,11 @@ func TestIMCaColdReadMissesThenHits(t *testing.T) {
 func TestIMCaUnalignedReadAssembledFromBlocks(t *testing.T) {
 	r := newRig(t, 2, Config{BlockSize: 256})
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/u")
+		fd, _ := blocking(r.client).Create(p, "/u")
 		payload := blob.Synthetic(9, 0, 4096)
-		r.client.Write(p, fd, 0, payload)
+		blocking(r.client).Write(p, fd, 0, payload)
 		// Read a range crossing several blocks at odd offsets.
-		got, err := r.client.Read(p, fd, 123, 1000)
+		got, err := blocking(r.client).Read(p, fd, 123, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,10 +130,10 @@ func TestIMCaUnalignedReadAssembledFromBlocks(t *testing.T) {
 func TestIMCaReadTailShortBlock(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/tail")
+		fd, _ := blocking(r.client).Create(p, "/tail")
 		payload := blob.Synthetic(4, 0, 3000) // 1.46 blocks
-		r.client.Write(p, fd, 0, payload)
-		got, err := r.client.Read(p, fd, 0, 5000) // past EOF
+		blocking(r.client).Write(p, fd, 0, payload)
+		got, err := blocking(r.client).Read(p, fd, 0, 5000) // past EOF
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,9 +146,9 @@ func TestIMCaReadTailShortBlock(t *testing.T) {
 func TestIMCaStatServedFromCache(t *testing.T) {
 	r := newRig(t, 1, Config{})
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/s")
-		r.client.Write(p, fd, 0, blob.Synthetic(1, 0, 1234))
-		st, err := r.client.Stat(p, "/s")
+		fd, _ := blocking(r.client).Create(p, "/s")
+		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 1234))
+		st, err := blocking(r.client).Stat(p, "/s")
 		if err != nil || st.Size != 1234 {
 			t.Fatalf("stat = %+v, %v", st, err)
 		}
@@ -163,15 +163,15 @@ func TestIMCaStatServedFromCache(t *testing.T) {
 func TestIMCaStatMissFallsBackAndPopulates(t *testing.T) {
 	r := newRig(t, 1, Config{})
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/pop")
-		r.client.Write(p, fd, 0, blob.Synthetic(1, 0, 10))
+		fd, _ := blocking(r.client).Create(p, "/pop")
+		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 10))
 		for _, m := range r.mcds {
 			m.Store().FlushAll()
 		}
-		if _, err := r.client.Stat(p, "/pop"); err != nil { // miss
+		if _, err := blocking(r.client).Stat(p, "/pop"); err != nil { // miss
 			t.Fatal(err)
 		}
-		if _, err := r.client.Stat(p, "/pop"); err != nil { // hit
+		if _, err := blocking(r.client).Stat(p, "/pop"); err != nil { // hit
 			t.Fatal(err)
 		}
 	})
@@ -186,12 +186,12 @@ func TestIMCaStatReflectsWriteUpdates(t *testing.T) {
 	// see the new size/mtime through the cache.
 	r := newRig(t, 1, Config{})
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/feed")
-		r.client.Write(p, fd, 0, blob.Synthetic(1, 0, 100))
-		st1, _ := r.client.Stat(p, "/feed")
+		fd, _ := blocking(r.client).Create(p, "/feed")
+		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 100))
+		st1, _ := blocking(r.client).Stat(p, "/feed")
 		p.Sleep(time.Second)
-		r.client.Write(p, fd, 100, blob.Synthetic(1, 100, 200))
-		st2, _ := r.client.Stat(p, "/feed")
+		blocking(r.client).Write(p, fd, 100, blob.Synthetic(1, 100, 200))
+		st2, _ := blocking(r.client).Stat(p, "/feed")
 		if st2.Size != 300 {
 			t.Errorf("stat size = %d, want 300", st2.Size)
 		}
@@ -204,14 +204,14 @@ func TestIMCaStatReflectsWriteUpdates(t *testing.T) {
 func TestIMCaOpenPurgesStaleBlocks(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/purge")
-		r.client.Write(p, fd, 0, blob.Synthetic(1, 0, 4096))
+		fd, _ := blocking(r.client).Create(p, "/purge")
+		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 4096))
 		bank := r.mcds[0].Store()
 		if bank.Len() == 0 {
 			t.Fatal("write did not populate the bank")
 		}
 		// A new open purges the file's entries (fresh stat is re-pushed).
-		if _, err := r.client.Open(p, "/purge"); err != nil {
+		if _, err := blocking(r.client).Open(p, "/purge"); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := bank.Get(blockKey("/purge", 0)); err == nil {
@@ -223,9 +223,9 @@ func TestIMCaOpenPurgesStaleBlocks(t *testing.T) {
 func TestIMCaClosePurges(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/c")
-		r.client.Write(p, fd, 0, blob.Synthetic(1, 0, 2048))
-		r.client.Close(p, fd)
+		fd, _ := blocking(r.client).Create(p, "/c")
+		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 2048))
+		blocking(r.client).Close(p, fd)
 		if _, err := r.mcds[0].Store().Get(blockKey("/c", 0)); err == nil {
 			t.Error("data block survived close purge")
 		}
@@ -235,9 +235,9 @@ func TestIMCaClosePurges(t *testing.T) {
 func TestIMCaDeletePurgesCache(t *testing.T) {
 	r := newRig(t, 2, Config{BlockSize: 2048})
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/del")
-		r.client.Write(p, fd, 0, blob.Synthetic(1, 0, 8192))
-		if err := r.client.Unlink(p, "/del"); err != nil {
+		fd, _ := blocking(r.client).Create(p, "/del")
+		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 8192))
+		if err := blocking(r.client).Unlink(p, "/del"); err != nil {
 			t.Fatal(err)
 		}
 		// No false positives: stat and data must be gone everywhere.
@@ -261,10 +261,10 @@ func TestIMCaWriteLatencyThreadedVsInline(t *testing.T) {
 		r := newRig(t, 1, Config{BlockSize: 2048, Threaded: threaded})
 		var total sim.Duration
 		r.run(t, func(p *sim.Proc) {
-			fd, _ := r.client.Create(p, "/w")
+			fd, _ := blocking(r.client).Create(p, "/w")
 			start := p.Now()
 			for i := int64(0); i < 64; i++ {
-				r.client.Write(p, fd, i*2048, blob.Synthetic(2, i*2048, 2048))
+				blocking(r.client).Write(p, fd, i*2048, blob.Synthetic(2, i*2048, 2048))
 			}
 			total = p.Now().Sub(start)
 		})
@@ -284,11 +284,11 @@ func TestIMCaSmallReadLatencyBeatsNoCache(t *testing.T) {
 		r := newRig(t, 1, Config{BlockSize: bs})
 		var total sim.Duration
 		r.run(t, func(p *sim.Proc) {
-			fd, _ := r.client.Create(p, "/lat")
-			r.client.Write(p, fd, 0, blob.Synthetic(1, 0, 64<<10))
+			fd, _ := blocking(r.client).Create(p, "/lat")
+			blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 64<<10))
 			start := p.Now()
 			for i := 0; i < 128; i++ {
-				r.client.Read(p, fd, int64(i*17)%60000, 1)
+				blocking(r.client).Read(p, fd, int64(i*17)%60000, 1)
 			}
 			total = p.Now().Sub(start)
 		})
@@ -309,11 +309,11 @@ func TestIMCaSmallReadLatencyBeatsNoCache(t *testing.T) {
 		top := gluster.NewFuse(cliNode, gluster.NewClient(cliNode, srvNode), gluster.DefaultFuseConfig)
 		var total sim.Duration
 		env.Process("client", func(p *sim.Proc) {
-			fd, _ := top.Create(p, "/lat")
-			top.Write(p, fd, 0, blob.Synthetic(1, 0, 64<<10))
+			fd, _ := blocking(top).Create(p, "/lat")
+			blocking(top).Write(p, fd, 0, blob.Synthetic(1, 0, 64<<10))
 			start := p.Now()
 			for i := 0; i < 128; i++ {
-				top.Read(p, fd, int64(i*17)%60000, 1)
+				blocking(top).Read(p, fd, int64(i*17)%60000, 1)
 			}
 			total = p.Now().Sub(start)
 		})
@@ -338,11 +338,11 @@ func TestIMCaLargeReadFavorsNoCacheWithTinyBlocks(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 256})
 	var imcaTime sim.Duration
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/big")
-		r.client.Write(p, fd, 0, blob.Synthetic(1, 0, 1<<20))
+		fd, _ := blocking(r.client).Create(p, "/big")
+		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 1<<20))
 		start := p.Now()
 		for i := int64(0); i < 8; i++ {
-			r.client.Read(p, fd, i*128<<10, 64<<10)
+			blocking(r.client).Read(p, fd, i*128<<10, 64<<10)
 		}
 		imcaTime = p.Now().Sub(start)
 	})
@@ -357,12 +357,12 @@ func TestIMCaLargeReadFavorsNoCacheWithTinyBlocks(t *testing.T) {
 	top := gluster.NewFuse(cliNode, gluster.NewClient(cliNode, srvNode), gluster.DefaultFuseConfig)
 	var noCacheTime sim.Duration
 	env.Process("client", func(p *sim.Proc) {
-		fd, _ := top.Create(p, "/big")
-		top.Write(p, fd, 0, blob.Synthetic(1, 0, 1<<20))
+		fd, _ := blocking(top).Create(p, "/big")
+		blocking(top).Write(p, fd, 0, blob.Synthetic(1, 0, 1<<20))
 		// Warm the server page cache as the write already did.
 		start := p.Now()
 		for i := int64(0); i < 8; i++ {
-			top.Read(p, fd, i*128<<10, 64<<10)
+			blocking(top).Read(p, fd, i*128<<10, 64<<10)
 		}
 		noCacheTime = p.Now().Sub(start)
 	})
@@ -437,14 +437,14 @@ func TestIMCaGrowthRefreshesStaleTailBlock(t *testing.T) {
 	// file and return truncated data.
 	r := newRig(t, 1, Config{BlockSize: 2048})
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/tailgrow")
-		r.client.Write(p, fd, 0, blob.Synthetic(1, 0, 3000)) // tail block [2048,3000) short
+		fd, _ := blocking(r.client).Create(p, "/tailgrow")
+		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 3000)) // tail block [2048,3000) short
 		// Grow far past the tail block, leaving a hole.
-		r.client.Write(p, fd, 10000, blob.Synthetic(1, 10000, 500))
+		blocking(r.client).Write(p, fd, 10000, blob.Synthetic(1, 10000, 500))
 		// Read exactly the old tail block's span: all covering blocks are
 		// cached (block 1 was refreshed), so this is a cache hit that must
 		// now include the hole zeros.
-		got, err := r.client.Read(p, fd, 2048, 2048)
+		got, err := blocking(r.client).Read(p, fd, 2048, 2048)
 		if err != nil {
 			t.Fatal(err)
 		}

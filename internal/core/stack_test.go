@@ -27,7 +27,7 @@ func TestFullTranslatorStackComposition(t *testing.T) {
 	ref := &refFile{}
 	rng := newRand(2024)
 	r.env.Process("stack", func(p *sim.Proc) {
-		fd, err := full.Create(p, "/stack/f")
+		fd, err := blocking(full).Create(p, "/stack/f")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,14 +36,14 @@ func TestFullTranslatorStackComposition(t *testing.T) {
 				off := int64(rng.next() % 40000)
 				size := int64(rng.next()%3000) + 1
 				payload := blob.Synthetic(rng.next()|1, off, size)
-				if _, err := full.Write(p, fd, off, payload); err != nil {
+				if _, err := blocking(full).Write(p, fd, off, payload); err != nil {
 					t.Fatalf("op %d write: %v", op, err)
 				}
 				ref.write(off, payload.Bytes())
 			} else {
 				off := int64(rng.next() % 45000)
 				size := int64(rng.next()%5000) + 1
-				got, err := full.Read(p, fd, off, size)
+				got, err := blocking(full).Read(p, fd, off, size)
 				if err != nil {
 					t.Fatalf("op %d read: %v", op, err)
 				}
@@ -55,18 +55,18 @@ func TestFullTranslatorStackComposition(t *testing.T) {
 		}
 		// Close flushes write-behind and purges; a reopen reads back the
 		// full reference content.
-		if err := full.Close(p, fd); err != nil {
+		if err := blocking(full).Close(p, fd); err != nil {
 			t.Fatal(err)
 		}
-		fd, err = full.Open(p, "/stack/f")
+		fd, err = blocking(full).Open(p, "/stack/f")
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := full.Read(p, fd, 0, int64(len(ref.data)))
+		got, err := blocking(full).Read(p, fd, 0, int64(len(ref.data)))
 		if err != nil || !got.Equal(blob.FromBytes(ref.data)) {
 			t.Fatalf("post-reopen readback mismatch: %v", err)
 		}
-		st, err := full.Stat(p, "/stack/f")
+		st, err := blocking(full).Stat(p, "/stack/f")
 		if err != nil || st.Size != int64(len(ref.data)) {
 			t.Fatalf("stat = %+v, %v; want size %d", st, err, len(ref.data))
 		}
@@ -82,9 +82,9 @@ func TestStackedStatStaysCoherent(t *testing.T) {
 	wb := gluster.NewWriteBehind(r.cmcache, 1<<20) // large buffer: writes linger
 	full := gluster.NewFuse(node, wb, gluster.DefaultFuseConfig)
 	r.env.Process("t", func(p *sim.Proc) {
-		fd, _ := full.Create(p, "/sc/f")
-		full.Write(p, fd, 0, blob.Synthetic(1, 0, 5000))
-		st, err := full.Stat(p, "/sc/f")
+		fd, _ := blocking(full).Create(p, "/sc/f")
+		blocking(full).Write(p, fd, 0, blob.Synthetic(1, 0, 5000))
+		st, err := blocking(full).Stat(p, "/sc/f")
 		if err != nil || st.Size != 5000 {
 			t.Fatalf("stat through buffered stack = %+v, %v", st, err)
 		}

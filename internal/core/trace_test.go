@@ -18,18 +18,18 @@ func TestShortBlockForwardsToServer(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
 	payload := blob.Synthetic(7, 0, 6000)
 	r.run(t, func(p *sim.Proc) {
-		fd, err := r.client.Create(p, "/s")
+		fd, err := blocking(r.client).Create(p, "/s")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.client.Write(p, fd, 0, payload); err != nil {
+		if _, err := blocking(r.client).Write(p, fd, 0, payload); err != nil {
 			t.Fatal(err)
 		}
 		// Fabricate the inconsistency: block 0 is replaced by a short
 		// version (as a stale tail block of a since-grown file would be)
 		// while the later blocks remain. Every covering key still hits.
 		r.mcds[0].Store().Set(&memcache.Item{Key: blockKey("/s", 0), Value: payload.Slice(0, 1000)})
-		got, err := r.client.Read(p, fd, 0, 4096)
+		got, err := blocking(r.client).Read(p, fd, 0, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,12 +55,12 @@ func TestLegitimateEOFShortReadStillWorks(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
 	payload := blob.Synthetic(8, 0, 3000)
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/e")
-		r.client.Write(p, fd, 0, payload)
+		fd, _ := blocking(r.client).Create(p, "/e")
+		blocking(r.client).Write(p, fd, 0, payload)
 		// Request past EOF: blocks 0 (full) and 2048 (short tail). The
 		// bank misses block 4096 (never written), so widen the request to
 		// exactly the existing blocks.
-		got, err := r.client.Read(p, fd, 0, 4096)
+		got, err := blocking(r.client).Read(p, fd, 0, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,11 +82,11 @@ func TestDeadlineFallsBackToServer(t *testing.T) {
 	col := optrace.NewCollector()
 	payload := blob.Synthetic(11, 0, 8192)
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/d")
-		r.client.Write(p, fd, 0, payload)
+		fd, _ := blocking(r.client).Create(p, "/d")
+		blocking(r.client).Write(p, fd, 0, payload)
 		op := col.Begin(p, "read")
 		op.SetDeadline(p.Now().Add(5 * time.Microsecond))
-		got, err := r.client.Read(p, fd, 0, 8192)
+		got, err := blocking(r.client).Read(p, fd, 0, 8192)
 		if err != nil {
 			t.Fatalf("read failed under an expired deadline: %v", err)
 		}
@@ -124,10 +124,10 @@ func TestReadWithOneMCDDownCompletes(t *testing.T) {
 	r := newRig(t, 4, Config{BlockSize: 2048})
 	payload := blob.Synthetic(13, 0, 32768)
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/m")
-		r.client.Write(p, fd, 0, payload)
+		fd, _ := blocking(r.client).Create(p, "/m")
+		blocking(r.client).Write(p, fd, 0, payload)
 		r.mcds[2].Fail()
-		got, err := r.client.Read(p, fd, 0, 32768)
+		got, err := blocking(r.client).Read(p, fd, 0, 32768)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,11 +149,11 @@ func TestTraceLayersSumToEndToEnd(t *testing.T) {
 	r := newRig(t, 2, Config{BlockSize: 2048})
 	col := optrace.NewCollector()
 	r.run(t, func(p *sim.Proc) {
-		fd, _ := r.client.Create(p, "/t")
-		r.client.Write(p, fd, 0, blob.Synthetic(5, 0, 8192))
+		fd, _ := blocking(r.client).Create(p, "/t")
+		blocking(r.client).Write(p, fd, 0, blob.Synthetic(5, 0, 8192))
 		col.Begin(p, "read")
 		root := optrace.StartSpan(p, optrace.LayerOp, "read")
-		if _, err := r.client.Read(p, fd, 0, 8192); err != nil {
+		if _, err := blocking(r.client).Read(p, fd, 0, 8192); err != nil {
 			t.Fatal(err)
 		}
 		root.End(p)

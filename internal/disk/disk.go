@@ -30,9 +30,9 @@ var HighPoint2008 = Params{SeekTime: 8 * time.Millisecond, TransferRate: 70e6}
 
 // Device is anything that can serve byte-addressed accesses in virtual time.
 type Device interface {
-	// Access performs a read or write of size bytes at addr, blocking p
-	// for the simulated duration.
-	Access(p *sim.Proc, addr, size int64, write bool)
+	// Access performs a read or write of size bytes at addr and runs k
+	// when the simulated transfer completes.
+	Access(t *sim.Task, addr, size int64, write bool, k func())
 }
 
 // Disk is a single spindle. Concurrent requests queue FIFO at the arm.
@@ -61,31 +61,36 @@ func New(env *sim.Env, params Params) *Disk {
 	return &Disk{env: env, params: params, arm: sim.NewResource(env, 1), lastEnd: -1}
 }
 
-// Access implements Device.
-func (d *Disk) Access(p *sim.Proc, addr, size int64, write bool) {
+// Access implements Device. The positioning cost is computed when the arm
+// is granted: lastEnd reflects the request served before this one, not the
+// one ahead in the queue when this one arrived.
+func (d *Disk) Access(t *sim.Task, addr, size int64, write bool, k func()) {
 	if size < 0 || addr < 0 {
 		panic("disk: negative access")
 	}
-	d.arm.Acquire(p, 1)
-	cost := sim.Duration(0)
-	if addr != d.lastEnd {
-		cost += d.params.SeekTime
-		d.Seeks++
-	}
-	cost += sim.Duration(float64(size) / d.params.TransferRate * 1e9)
-	if d.slow > 1 {
-		cost = sim.Duration(float64(cost) * d.slow)
-	}
-	d.lastEnd = addr + size
-	p.Sleep(cost)
-	d.arm.Release(1)
-	if write {
-		d.Writes++
-		d.BytesWritten += size
-	} else {
-		d.Reads++
-		d.BytesRead += size
-	}
+	d.arm.AcquireT(t, 1, func() {
+		cost := sim.Duration(0)
+		if addr != d.lastEnd {
+			cost += d.params.SeekTime
+			d.Seeks++
+		}
+		cost += sim.Duration(float64(size) / d.params.TransferRate * 1e9)
+		if d.slow > 1 {
+			cost = sim.Duration(float64(cost) * d.slow)
+		}
+		d.lastEnd = addr + size
+		t.Sleep(cost, func() {
+			d.arm.Release(1)
+			if write {
+				d.Writes++
+				d.BytesWritten += size
+			} else {
+				d.Reads++
+				d.BytesRead += size
+			}
+			k()
+		})
+	})
 }
 
 // Utilization returns the fraction of virtual time the arm has been busy.
@@ -168,17 +173,21 @@ func (a *Array) mapRequest(addr, size int64) []chunk {
 	return out
 }
 
-// Access implements Device, striping the request across members.
-func (a *Array) Access(p *sim.Proc, addr, size int64, write bool) {
+// Access implements Device, striping the request across members. Each
+// member disk with chunks to serve gets its own task, which serves them in
+// address order; the request completes once every member's task has, joined
+// in member order.
+func (a *Array) Access(t *sim.Task, addr, size int64, write bool, k func()) {
 	if size <= 0 {
 		if size < 0 {
 			panic("disk: negative access")
 		}
+		k()
 		return
 	}
 	chunks := a.mapRequest(addr, size)
 	if len(chunks) == 1 {
-		chunks[0].disk.Access(p, chunks[0].addr, chunks[0].size, write)
+		chunks[0].disk.Access(t, chunks[0].addr, chunks[0].size, write, k)
 		return
 	}
 	// Coalesce contiguous chunks on the same member so a long sequential
@@ -186,8 +195,8 @@ func (a *Array) Access(p *sim.Proc, addr, size int64, write bool) {
 	perDisk := make(map[*Disk][]chunk)
 	for _, c := range chunks {
 		l := perDisk[c.disk]
-		if k := len(l); k > 0 && l[k-1].addr+l[k-1].size == c.addr {
-			l[k-1].size += c.size
+		if n := len(l); n > 0 && l[n-1].addr+l[n-1].size == c.addr {
+			l[n-1].size += c.size
 		} else {
 			l = append(l, c)
 		}
@@ -200,14 +209,28 @@ func (a *Array) Access(p *sim.Proc, addr, size int64, write bool) {
 			continue
 		}
 		d := d
-		ev := sim.NewEvent(p.Env())
-		p.Spawn("raid-chunk", func(q *sim.Proc) {
-			for _, c := range l {
-				d.Access(q, c.addr, c.size, write)
+		ev := sim.NewEvent(a.env)
+		a.env.StartTask("raid-chunk", func(q *sim.Task) {
+			var serve func(i int)
+			serve = func(i int) {
+				if i == len(l) {
+					ev.Trigger(nil)
+					q.End()
+					return
+				}
+				d.Access(q, l[i].addr, l[i].size, write, func() { serve(i + 1) })
 			}
-			ev.Trigger(nil)
+			serve(0)
 		})
 		events = append(events, ev)
 	}
-	sim.WaitAll(p, events...)
+	var join func(i int)
+	join = func(i int) {
+		if i == len(events) {
+			k()
+			return
+		}
+		events[i].WaitT(t, func(interface{}) { join(i + 1) })
+	}
+	join(0)
 }

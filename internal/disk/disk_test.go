@@ -17,8 +17,8 @@ func TestSequentialAccessPaysOneSeek(t *testing.T) {
 	env := sim.NewEnv()
 	d := New(env, Params{SeekTime: 10 * time.Millisecond, TransferRate: 100e6})
 	env.Process("t", func(p *sim.Proc) {
-		d.Access(p, 0, 1e6, false)
-		d.Access(p, 1e6, 1e6, false) // continues previous: no seek
+		access(p, d, 0, 1e6, false)
+		access(p, d, 1e6, 1e6, false) // continues previous: no seek
 	})
 	env.Run()
 	if d.Seeks != 1 {
@@ -36,7 +36,7 @@ func TestRandomAccessPaysSeekEachTime(t *testing.T) {
 	d := New(env, Params{SeekTime: 5 * time.Millisecond, TransferRate: 100e6})
 	env.Process("t", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			d.Access(p, int64(i)*1e9, 4096, false) // far apart
+			access(p, d, int64(i)*1e9, 4096, false) // far apart
 		}
 	})
 	env.Run()
@@ -57,7 +57,7 @@ func TestInterleavedStreamsDegrade(t *testing.T) {
 			base := int64(s) * 1e10
 			env.Process("s", func(p *sim.Proc) {
 				for i := int64(0); i < per; i++ {
-					d.Access(p, base+i*1e6, 1e6, false)
+					access(p, d, base+i*1e6, 1e6, false)
 				}
 			})
 		}
@@ -79,7 +79,7 @@ func TestDiskArmSerializes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		env.Process("t", func(p *sim.Proc) {
-			d.Access(p, int64(i)*1e8, 1e6, false)
+			access(p, d, int64(i)*1e8, 1e6, false)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -93,8 +93,8 @@ func TestWriteAccounting(t *testing.T) {
 	env := sim.NewEnv()
 	d := New(env, HighPoint2008)
 	env.Process("t", func(p *sim.Proc) {
-		d.Access(p, 0, 1000, true)
-		d.Access(p, 1000, 500, false)
+		access(p, d, 0, 1000, true)
+		access(p, d, 1000, 500, false)
 	})
 	env.Run()
 	if d.Writes != 1 || d.BytesWritten != 1000 {
@@ -143,7 +143,7 @@ func TestArrayParallelSpeedup(t *testing.T) {
 		env := sim.NewEnv()
 		a := NewArray(env, n, 64<<10, Params{SeekTime: time.Millisecond, TransferRate: 100e6})
 		env.Process("t", func(p *sim.Proc) {
-			a.Access(p, 0, 64<<20, false)
+			access(p, a, 0, 64<<20, false)
 		})
 		return sim.Duration(env.Run())
 	}
@@ -159,7 +159,7 @@ func TestArraySmallRequestSingleDisk(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArray(env, 8, 64<<10, HighPoint2008)
 	env.Process("t", func(p *sim.Proc) {
-		a.Access(p, 0, 4096, false)
+		access(p, a, 0, 4096, false)
 	})
 	env.Run()
 	if a.disks[0].Reads != 1 {
@@ -178,7 +178,7 @@ func TestArrayCoalescesSequentialChunks(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArray(env, 2, 64<<10, Params{SeekTime: time.Millisecond, TransferRate: 100e6})
 	env.Process("t", func(p *sim.Proc) {
-		a.Access(p, 0, 1<<20, false)
+		access(p, a, 0, 1<<20, false)
 	})
 	env.Run()
 	for i, d := range a.disks {
@@ -192,10 +192,15 @@ func TestZeroSizeAccessIsFree(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArray(env, 2, 1024, HighPoint2008)
 	env.Process("t", func(p *sim.Proc) {
-		a.Access(p, 0, 0, false)
+		access(p, a, 0, 0, false)
 		if p.Now() != 0 {
 			t.Error("zero-size access advanced time")
 		}
 	})
 	env.Run()
+}
+
+// access drives one device access from a test process.
+func access(p *sim.Proc, dev Device, addr, size int64, write bool) {
+	sim.Await(p, func(t *sim.Task, done func()) { dev.Access(t, addr, size, write, done) })
 }

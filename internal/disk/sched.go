@@ -61,23 +61,29 @@ func NewSched(env *sim.Env, params Params, policy Policy) *SchedDisk {
 }
 
 // Access implements Device.
-func (d *SchedDisk) Access(p *sim.Proc, addr, size int64, write bool) {
+func (d *SchedDisk) Access(t *sim.Task, addr, size int64, write bool, k func()) {
 	if size < 0 || addr < 0 {
 		panic("disk: negative access")
+	}
+	serve := func() {
+		d.serve(t, addr, size, write, func() {
+			d.dispatchNext()
+			k()
+		})
 	}
 	if d.busy {
 		req := &schedReq{addr: addr, size: size, write: write, done: sim.NewEvent(d.env)}
 		d.queue = append(d.queue, req)
-		req.done.Wait(p) // resumed by the completing request's dispatch
-	} else {
-		d.busy = true
+		// Resumed by the completing request's dispatch.
+		req.done.WaitT(t, func(interface{}) { serve() })
+		return
 	}
-	d.serve(p, addr, size, write)
-	d.dispatchNext()
+	d.busy = true
+	serve()
 }
 
-// serve performs the positioning + transfer for one request in p's context.
-func (d *SchedDisk) serve(p *sim.Proc, addr, size int64, write bool) {
+// serve performs the positioning + transfer for one request, then runs k.
+func (d *SchedDisk) serve(t *sim.Task, addr, size int64, write bool, k func()) {
 	cost := sim.Duration(0)
 	if addr != d.headPos {
 		dist := addr - d.headPos
@@ -98,18 +104,20 @@ func (d *SchedDisk) serve(p *sim.Proc, addr, size int64, write bool) {
 	}
 	cost += sim.Duration(float64(size) / d.params.TransferRate * 1e9)
 	d.headPos = addr + size
-	p.Sleep(cost)
-	if write {
-		d.Writes++
-		d.BytesWritten += size
-	} else {
-		d.Reads++
-		d.BytesRead += size
-	}
+	t.Sleep(cost, func() {
+		if write {
+			d.Writes++
+			d.BytesWritten += size
+		} else {
+			d.Reads++
+			d.BytesRead += size
+		}
+		k()
+	})
 }
 
 // dispatchNext picks the next queued request per the policy and wakes it;
-// the woken process performs its own service.
+// the woken request performs its own service.
 func (d *SchedDisk) dispatchNext() {
 	if len(d.queue) == 0 {
 		d.busy = false

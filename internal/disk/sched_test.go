@@ -12,8 +12,8 @@ func TestSchedDiskFIFOMatchesDisk(t *testing.T) {
 	// through the plain disk.
 	run := func(dev Device, env *sim.Env) sim.Time {
 		env.Process("t", func(p *sim.Proc) {
-			dev.Access(p, 0, 1e6, false)
-			dev.Access(p, 1e6, 1e6, false)
+			access(p, dev, 0, 1e6, false)
+			access(p, dev, 1e6, 1e6, false)
 		})
 		return env.Run()
 	}
@@ -41,7 +41,7 @@ func submitPattern(policy Policy) (sim.Duration, uint64) {
 		i, a := i, a
 		env.Process("w", func(p *sim.Proc) {
 			p.Sleep(sim.Duration(i) * time.Microsecond) // fix arrival order
-			d.Access(p, a, 4096, false)
+			access(p, d, a, 4096, false)
 		})
 	}
 	end := env.Run()
@@ -67,7 +67,7 @@ func TestElevatorServesAllRequests(t *testing.T) {
 		i := i
 		env.Process("w", func(p *sim.Proc) {
 			// Mixed directions and overlapping arrivals.
-			d.Access(p, int64((i*37)%20)*1e7, 4096, i%2 == 0)
+			access(p, d, int64((i*37)%20)*1e7, 4096, i%2 == 0)
 			done++
 		})
 	}
@@ -91,13 +91,13 @@ func TestElevatorSweepOrder(t *testing.T) {
 	var order []int64
 	// Prime the head to the middle of the range.
 	env.Process("prime", func(p *sim.Proc) {
-		d.Access(p, 5e8, 4096, false)
+		access(p, d, 5e8, 4096, false)
 	})
 	for _, a := range []int64{1e8, 7e8, 2e8, 9e8} {
 		a := a
 		env.Process("w", func(p *sim.Proc) {
 			p.Sleep(100 * time.Microsecond) // arrive while prime is being served
-			d.Access(p, a, 4096, false)
+			access(p, d, a, 4096, false)
 			order = append(order, a)
 		})
 	}
@@ -116,7 +116,7 @@ func TestSchedDiskInRAIDArrayViaDevice(t *testing.T) {
 	env := sim.NewEnv()
 	var dev Device = NewSched(env, HighPoint2008, Elevator)
 	env.Process("t", func(p *sim.Proc) {
-		dev.Access(p, 0, 1<<20, false)
+		access(p, dev, 0, 1<<20, false)
 	})
 	env.Run()
 }

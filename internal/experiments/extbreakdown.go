@@ -5,6 +5,7 @@ import (
 
 	"imca/internal/blob"
 	"imca/internal/cluster"
+	"imca/internal/gluster"
 	"imca/internal/metrics"
 	"imca/internal/optrace"
 	"imca/internal/sim"
@@ -32,7 +33,7 @@ func ExtBreakdown(o Options) *Result {
 			ServerCacheBytes: scaled(6<<30, o.scale()),
 		})
 		col := optrace.NewCollector()
-		fs := c.Mounts[0].FS
+		fs := gluster.Sync{FS: c.Mounts[0].FS}
 		c.Env.Process("ext-breakdown", func(p *sim.Proc) {
 			fd, err := fs.Create(p, "/b")
 			if err != nil {

@@ -83,7 +83,7 @@ func ExtDegrade(o Options) *Result {
 			Replicas:         replicas,
 		})
 		env := c.Env
-		fs := c.Mounts[0].FS
+		fs := gluster.Sync{FS: c.Mounts[0].FS}
 		reg := telemetry.NewRegistry()
 		c.Instrument(reg)
 		var reads uint64

@@ -196,12 +196,12 @@ func ExtSharing(o Options) *Result {
 		env.Process("setup", func(p *sim.Proc) {
 			fds = make([]gluster.FD, nc)
 			var err error
-			if fds[0], err = mounts[0].Create(p, "/rw/shared"); err != nil {
+			if fds[0], err = (gluster.Sync{FS: mounts[0]}).Create(p, "/rw/shared"); err != nil {
 				panic(err)
 			}
-			_, _ = mounts[0].Write(p, fds[0], 0, blob.Synthetic(1, 0, chunk))
+			_, _ = (gluster.Sync{FS: mounts[0]}).Write(p, fds[0], 0, blob.Synthetic(1, 0, chunk))
 			for i := 1; i < nc; i++ {
-				if fds[i], err = mounts[i].Open(p, "/rw/shared"); err != nil {
+				if fds[i], err = (gluster.Sync{FS: mounts[i]}).Open(p, "/rw/shared"); err != nil {
 					panic(err)
 				}
 			}
@@ -212,11 +212,11 @@ func ExtSharing(o Options) *Result {
 		var readTime sim.Duration
 		for i := 0; i < nc; i++ {
 			i := i
-			fs := mounts[i]
+			fs := gluster.Sync{FS: mounts[i]}
 			env.Process(fmt.Sprintf("rw-%d", i), func(p *sim.Proc) {
 				for r := 0; r < rounds; r++ {
 					if i == 0 {
-						_, _ = mounts[0].Write(p, fds[0], 0, blob.Synthetic(uint64(r)+2, 0, chunk))
+						_, _ = (gluster.Sync{FS: mounts[0]}).Write(p, fds[0], 0, blob.Synthetic(uint64(r)+2, 0, chunk))
 					}
 					bar.Wait(p)
 					t0 := p.Now()

@@ -72,7 +72,7 @@ func ExtFault(o Options) *Result {
 			EjectAfter:       ejectAfter,
 		})
 		env := c.Env
-		fs := c.Mounts[0].FS
+		fs := gluster.Sync{FS: c.Mounts[0].FS}
 		reg := telemetry.NewRegistry()
 		c.Instrument(reg)
 		var reads, busyNs uint64

@@ -40,7 +40,7 @@ func ExtTelemetry(o Options) *Result {
 	reg := telemetry.NewRegistry()
 	c.Instrument(reg)
 	env := c.Env
-	fs := c.Mounts[0].FS
+	fs := gluster.Sync{FS: c.Mounts[0].FS}
 
 	// Produce the dataset (untimed, unsampled).
 	var fd gluster.FD

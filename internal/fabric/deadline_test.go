@@ -18,7 +18,7 @@ func TestCallDeadlineAtEntry(t *testing.T) {
 		op := col.Begin(p, "rpc")
 		op.SetDeadline(p.Now()) // now >= deadline: no budget at all
 		start := p.Now()
-		resp, err := a.Call(p, b, "echo", Bytes(0))
+		resp, err := syncCall(p, a, b, "echo", Bytes(0))
 		if !errors.Is(err, ErrDeadline) {
 			t.Errorf("err = %v, want ErrDeadline", err)
 		}
@@ -45,10 +45,11 @@ func TestCallDeadlineMidCall(t *testing.T) {
 	a := net.NewNode("a", 8)
 	b := net.NewNode("b", 8)
 	handled := false
-	b.Handle("slow", func(hp *sim.Proc, from *Node, req Msg) Msg {
-		hp.Sleep(time.Millisecond)
-		handled = true
-		return req
+	b.Handle("slow", func(t *sim.Task, from *Node, req Msg, respond func(Msg)) {
+		t.Sleep(time.Millisecond, func() {
+			handled = true
+			respond(req)
+		})
 	})
 	col := optrace.NewCollector()
 	const budget = 100 * time.Microsecond
@@ -56,7 +57,7 @@ func TestCallDeadlineMidCall(t *testing.T) {
 		op := col.Begin(p, "rpc")
 		deadline := p.Now().Add(budget)
 		op.SetDeadline(deadline)
-		resp, err := a.Call(p, b, "slow", Bytes(0))
+		resp, err := syncCall(p, a, b, "slow", Bytes(0))
 		if !errors.Is(err, ErrDeadline) {
 			t.Errorf("err = %v, want ErrDeadline", err)
 		}
@@ -98,7 +99,7 @@ func TestCallSpans(t *testing.T) {
 	env.Process("client", func(p *sim.Proc) {
 		col.Begin(p, "rpc")
 		start := p.Now()
-		if _, err := a.Call(p, b, "echo", Bytes(64)); err != nil {
+		if _, err := syncCall(p, a, b, "echo", Bytes(64)); err != nil {
 			t.Errorf("Call: %v", err)
 		}
 		rtt := p.Now().Sub(start)
@@ -141,7 +142,7 @@ func TestCallUntracedUnchanged(t *testing.T) {
 				col.Begin(p, "rpc")
 			}
 			start := p.Now()
-			a.Call(p, b, "echo", Bytes(4096))
+			syncCall(p, a, b, "echo", Bytes(4096))
 			d = p.Now().Sub(start)
 			if traced {
 				col.End(p)

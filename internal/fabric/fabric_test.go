@@ -8,7 +8,15 @@ import (
 )
 
 // echo returns the request payload size as the response.
-func echo(p *sim.Proc, from *Node, req Msg) Msg { return req }
+func echo(t *sim.Task, from *Node, req Msg, respond func(Msg)) { respond(req) }
+
+// syncCall performs a blocking RPC from a test process.
+func syncCall(p *sim.Proc, nd, dst *Node, service string, req Msg) (resp Msg, err error) {
+	sim.Await(p, func(t *sim.Task, done func()) {
+		nd.Call(t, dst, service, req, func(m Msg, e error) { resp, err = m, e; done() })
+	})
+	return resp, err
+}
 
 func newPair(t *testing.T, tr Transport) (*sim.Env, *Node, *Node) {
 	t.Helper()
@@ -28,7 +36,7 @@ func TestCallRoundTripLatency(t *testing.T) {
 	var rtt sim.Duration
 	env.Process("client", func(p *sim.Proc) {
 		start := p.Now()
-		a.Call(p, b, "echo", Bytes(0))
+		syncCall(p, a, b, "echo", Bytes(0))
 		rtt = p.Now().Sub(start)
 	})
 	env.Run()
@@ -47,7 +55,7 @@ func TestTransportOrdering(t *testing.T) {
 		env, a, b := newPair(t, tr)
 		env.Process("client", func(p *sim.Proc) {
 			start := p.Now()
-			a.Call(p, b, "echo", Bytes(16))
+			syncCall(p, a, b, "echo", Bytes(16))
 			rtts = append(rtts, p.Now().Sub(start))
 		})
 		env.Run()
@@ -63,7 +71,7 @@ func TestLargeTransferBandwidthBound(t *testing.T) {
 	var elapsed sim.Duration
 	env.Process("client", func(p *sim.Proc) {
 		start := p.Now()
-		a.Call(p, b, "echo", Bytes(10e6))
+		syncCall(p, a, b, "echo", Bytes(10e6))
 		elapsed = p.Now().Sub(start)
 	})
 	env.Run()
@@ -79,12 +87,12 @@ func TestServerRxSerializesConcurrentSenders(t *testing.T) {
 	env := sim.NewEnv()
 	net := NewNetwork(env, GigE)
 	srv := net.NewNode("srv", 8)
-	srv.Handle("echo", func(p *sim.Proc, from *Node, req Msg) Msg { return Bytes(0) })
+	srv.Handle("echo", func(t *sim.Task, from *Node, req Msg, respond func(Msg)) { respond(Bytes(0)) })
 	var finish []sim.Time
 	for i := 0; i < 2; i++ {
 		c := net.NewNode("c"+string(rune('0'+i)), 8)
 		env.Process("client", func(p *sim.Proc) {
-			c.Call(p, srv, "echo", Bytes(5e6))
+			syncCall(p, c, srv, "echo", Bytes(5e6))
 			finish = append(finish, p.Now())
 		})
 	}
@@ -104,14 +112,13 @@ func TestHandlerRunsOnServerAndCanSleep(t *testing.T) {
 	net := NewNetwork(env, RDMA)
 	a := net.NewNode("a", 8)
 	b := net.NewNode("b", 8)
-	b.Handle("slow", func(p *sim.Proc, from *Node, req Msg) Msg {
-		p.Sleep(time.Millisecond) // e.g. disk access
-		return Bytes(0)
+	b.Handle("slow", func(t *sim.Task, from *Node, req Msg, respond func(Msg)) {
+		t.Sleep(time.Millisecond, func() { respond(Bytes(0)) }) // e.g. disk access
 	})
 	var rtt sim.Duration
 	env.Process("client", func(p *sim.Proc) {
 		start := p.Now()
-		a.Call(p, b, "slow", Bytes(0))
+		syncCall(p, a, b, "slow", Bytes(0))
 		rtt = p.Now().Sub(start)
 	})
 	env.Run()
@@ -128,17 +135,16 @@ func TestNestedCalls(t *testing.T) {
 	b := net.NewNode("b", 8)
 	c := net.NewNode("c", 8)
 	c.Handle("leaf", echo)
-	b.Handle("mid", func(p *sim.Proc, from *Node, req Msg) Msg {
-		resp, _ := b.Call(p, c, "leaf", req)
-		return resp
+	b.Handle("mid", func(t *sim.Task, from *Node, req Msg, respond func(Msg)) {
+		b.Call(t, c, "leaf", req, func(resp Msg, _ error) { respond(resp) })
 	})
 	var direct, nested sim.Duration
 	env.Process("client", func(p *sim.Proc) {
 		s := p.Now()
-		a.Call(p, c, "leaf", Bytes(8))
+		syncCall(p, a, c, "leaf", Bytes(8))
 		direct = p.Now().Sub(s)
 		s = p.Now()
-		a.Call(p, b, "mid", Bytes(8))
+		syncCall(p, a, b, "mid", Bytes(8))
 		nested = p.Now().Sub(s)
 	})
 	env.Run()
@@ -150,7 +156,7 @@ func TestNestedCalls(t *testing.T) {
 func TestTrafficAccounting(t *testing.T) {
 	env, a, b := newPair(t, IPoIB)
 	env.Process("client", func(p *sim.Proc) {
-		a.Call(p, b, "echo", Bytes(1000))
+		syncCall(p, a, b, "echo", Bytes(1000))
 	})
 	env.Run()
 	if a.TxMsgs != 1 || a.RxMsgs != 1 || b.TxMsgs != 1 || b.RxMsgs != 1 {
@@ -172,7 +178,7 @@ func TestUnknownServicePanics(t *testing.T) {
 				t.Error("expected panic calling unknown service")
 			}
 		}()
-		a.Call(p, b, "nope", Bytes(0))
+		syncCall(p, a, b, "nope", Bytes(0))
 	})
 	env.Run()
 }
@@ -202,7 +208,7 @@ func TestManyClientsOneServerCPUSaturation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c := net.NewNode(nodeName(i), 8)
 		env.Process("client", func(p *sim.Proc) {
-			c.Call(p, srv, "echo", Bytes(0))
+			syncCall(p, c, srv, "echo", Bytes(0))
 			if p.Now() > last {
 				last = p.Now()
 			}
@@ -235,7 +241,7 @@ func TestPerByteCPUChargesHost(t *testing.T) {
 		var d sim.Duration
 		env.Process("c", func(p *sim.Proc) {
 			start := p.Now()
-			a.Call(p, b, "echo", Bytes(1<<20))
+			syncCall(p, a, b, "echo", Bytes(1<<20))
 			d = p.Now().Sub(start)
 		})
 		env.Run()
@@ -264,7 +270,7 @@ func TestCPUContentionSlowsProtocolProcessing(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			c := net.NewNode(nodeName(i), 8)
 			env.Process("c", func(p *sim.Proc) {
-				c.Call(p, srv, "echo", Bytes(0))
+				syncCall(p, c, srv, "echo", Bytes(0))
 				if p.Now() > last {
 					last = p.Now()
 				}

@@ -17,7 +17,7 @@ func TestCutLinkRefusesAfterTimeout(t *testing.T) {
 	a.net.CutLink("a", "b")
 	env.Process("client", func(p *sim.Proc) {
 		start := p.Now()
-		resp, err := a.Call(p, b, "echo", Bytes(64))
+		resp, err := syncCall(p, a, b, "echo", Bytes(64))
 		if !errors.Is(err, ErrUnreachable) {
 			t.Errorf("err = %v, want ErrUnreachable", err)
 		}
@@ -46,7 +46,7 @@ func TestCutLinkUnorderedPair(t *testing.T) {
 		t.Fatal("LinkCut(a, b) = false after CutLink(b, a)")
 	}
 	env.Process("client", func(p *sim.Proc) {
-		if _, err := a.Call(p, b, "echo", Bytes(0)); !errors.Is(err, ErrUnreachable) {
+		if _, err := syncCall(p, a, b, "echo", Bytes(0)); !errors.Is(err, ErrUnreachable) {
 			t.Errorf("err = %v, want ErrUnreachable", err)
 		}
 	})
@@ -61,7 +61,7 @@ func TestHealLinkRestores(t *testing.T) {
 	var healthy sim.Duration
 	env.Process("baseline", func(p *sim.Proc) {
 		start := p.Now()
-		a.Call(p, b, "echo", Bytes(256))
+		syncCall(p, a, b, "echo", Bytes(256))
 		healthy = p.Now().Sub(start)
 	})
 	env.Run()
@@ -70,7 +70,7 @@ func TestHealLinkRestores(t *testing.T) {
 	a.net.HealLink("a", "b")
 	env.Process("client", func(p *sim.Proc) {
 		start := p.Now()
-		if _, err := a.Call(p, b, "echo", Bytes(256)); err != nil {
+		if _, err := syncCall(p, a, b, "echo", Bytes(256)); err != nil {
 			t.Errorf("call on healed link failed: %v", err)
 		}
 		if got := p.Now().Sub(start); got != healthy {
@@ -89,7 +89,7 @@ func TestDegradeLinkScalesLegs(t *testing.T) {
 	timed := func(out *sim.Duration) func(p *sim.Proc) {
 		return func(p *sim.Proc) {
 			start := p.Now()
-			if _, err := a.Call(p, b, "echo", Bytes(4096)); err != nil {
+			if _, err := syncCall(p, a, b, "echo", Bytes(4096)); err != nil {
 				t.Errorf("call failed: %v", err)
 			}
 			*out = p.Now().Sub(start)
@@ -125,10 +125,11 @@ func TestCutLinkAbortsInFlight(t *testing.T) {
 	a := net.NewNode("a", 8)
 	b := net.NewNode("b", 8)
 	handled := false
-	b.Handle("slow", func(hp *sim.Proc, from *Node, req Msg) Msg {
-		hp.Sleep(time.Millisecond)
-		handled = true
-		return req
+	b.Handle("slow", func(t *sim.Task, from *Node, req Msg, respond func(Msg)) {
+		t.Sleep(time.Millisecond, func() {
+			handled = true
+			respond(req)
+		})
 	})
 	// Touch the fault table before traffic starts so the call is tracked.
 	cutAt := 200 * time.Microsecond
@@ -136,7 +137,7 @@ func TestCutLinkAbortsInFlight(t *testing.T) {
 	env.Defer(cutAt, func() { net.CutLink("a", "b") })
 
 	env.Process("client", func(p *sim.Proc) {
-		_, err := a.Call(p, b, "slow", Bytes(0))
+		_, err := syncCall(p, a, b, "slow", Bytes(0))
 		if !errors.Is(err, ErrUnreachable) {
 			t.Errorf("err = %v, want ErrUnreachable", err)
 		}
@@ -164,9 +165,8 @@ func TestCutRacesDeadlineTie(t *testing.T) {
 	net := NewNetwork(env, IPoIB)
 	a := net.NewNode("a", 8)
 	b := net.NewNode("b", 8)
-	b.Handle("slow", func(hp *sim.Proc, from *Node, req Msg) Msg {
-		hp.Sleep(time.Millisecond)
-		return req
+	b.Handle("slow", func(t *sim.Task, from *Node, req Msg, respond func(Msg)) {
+		t.Sleep(time.Millisecond, func() { respond(req) })
 	})
 	tieAt := 200 * time.Microsecond
 	net.enableFaults()
@@ -176,7 +176,7 @@ func TestCutRacesDeadlineTie(t *testing.T) {
 	env.Process("client", func(p *sim.Proc) {
 		op := col.Begin(p, "rpc")
 		op.SetDeadline(sim.Time(0).Add(tieAt))
-		_, err := a.Call(p, b, "slow", Bytes(0))
+		_, err := syncCall(p, a, b, "slow", Bytes(0))
 		if !errors.Is(err, ErrDeadline) {
 			t.Errorf("err = %v, want ErrDeadline (deadline wins the tie)", err)
 		}
@@ -197,7 +197,7 @@ func TestCutConnectDeadlineTie(t *testing.T) {
 	env.Process("client", func(p *sim.Proc) {
 		op := col.Begin(p, "rpc")
 		op.SetDeadline(p.Now().Add(DefaultConnectTimeout))
-		_, err := a.Call(p, b, "echo", Bytes(0))
+		_, err := syncCall(p, a, b, "echo", Bytes(0))
 		if !errors.Is(err, ErrDeadline) {
 			t.Errorf("err = %v, want ErrDeadline (deadline wins the tie)", err)
 		}
@@ -220,7 +220,7 @@ func TestSetConnectTimeout(t *testing.T) {
 	a.net.CutLink("a", "b")
 	env.Process("client", func(p *sim.Proc) {
 		start := p.Now()
-		if _, err := a.Call(p, b, "echo", Bytes(0)); !errors.Is(err, ErrUnreachable) {
+		if _, err := syncCall(p, a, b, "echo", Bytes(0)); !errors.Is(err, ErrUnreachable) {
 			t.Errorf("err = %v, want ErrUnreachable", err)
 		}
 		if got := p.Now().Sub(start); got != timeout {

@@ -16,13 +16,13 @@ func newTaskPair(t *testing.T) (*sim.Env, *Node, *Node) {
 	net := NewNetwork(env, RDMA)
 	a := net.NewNode("a", 8)
 	b := net.NewNode("b", 8)
-	b.HandleT("echo", func(_ *sim.Task, _ *Node, req Msg, respond func(Msg)) { respond(req) })
+	b.Handle("echo", func(_ *sim.Task, _ *Node, req Msg, respond func(Msg)) { respond(req) })
 	return env, a, b
 }
 
 // TestCallTSteadyStateAllocFree pins the pooled frame's zero-alloc
 // contract: once the frame pool, event heap, and waiter arrays are warm, a
-// CallT round trip against a task-native handler allocates nothing. The
+// Call round trip allocates nothing. The
 // only allocation per batch is RunUntil's single bookkeeping closure,
 // amortized here over a batch of calls — so a whole-batch average above 1
 // means some per-call step started allocating.
@@ -40,7 +40,7 @@ func TestCallTSteadyStateAllocFree(t *testing.T) {
 	}
 	run := func() {
 		for i := 0; i < callsPerRun; i++ {
-			bind.CallT(ct, Bytes(0), k)
+			bind.Call(ct, Bytes(0), k)
 		}
 		env.Run()
 	}
@@ -72,7 +72,7 @@ func TestCallTNameResolutionAllocFree(t *testing.T) {
 	}
 	run := func() {
 		for i := 0; i < callsPerRun; i++ {
-			a.CallT(ct, b, "echo", Bytes(0), k)
+			a.Call(ct, b, "echo", Bytes(0), k)
 		}
 		env.Run()
 	}
@@ -92,14 +92,14 @@ func TestFramePoisonLifecycle(t *testing.T) {
 	defer SetFramePoison(false)
 
 	env, a, b := newTaskPair(t)
-	b.HandleT("slow", func(srv *sim.Task, _ *Node, req Msg, respond func(Msg)) {
+	b.Handle("slow", func(srv *sim.Task, _ *Node, req Msg, respond func(Msg)) {
 		srv.Sleep(time.Millisecond, func() { respond(req) })
 	})
 	bind := a.Bind(b, "echo")
 	ct := env.ContextTask("client")
 	ok := 0
 	for i := 0; i < 8; i++ {
-		bind.CallT(ct, Bytes(64), func(m Msg, err error) {
+		bind.Call(ct, Bytes(64), func(m Msg, err error) {
 			if err != nil {
 				t.Errorf("echo call failed: %v", err)
 			}
@@ -116,7 +116,7 @@ func TestFramePoisonLifecycle(t *testing.T) {
 	op.SetDeadline(env.Now().Add(sim.Duration(10 * time.Microsecond)))
 	optrace.Attach(dl, op)
 	var dlErr error
-	a.CallT(dl, b, "slow", Bytes(64), func(m Msg, err error) { dlErr = err })
+	a.Call(dl, b, "slow", Bytes(64), func(m Msg, err error) { dlErr = err })
 
 	env.Run()
 	if ok != 8 {
@@ -136,7 +136,7 @@ func TestFramePoisonLifecycle(t *testing.T) {
 
 	// Recycled (poison-stamped) frames must come back clean for reuse.
 	done := false
-	bind.CallT(ct, Bytes(0), func(m Msg, err error) {
+	bind.Call(ct, Bytes(0), func(m Msg, err error) {
 		if err != nil {
 			t.Errorf("reuse call failed: %v", err)
 		}
@@ -167,7 +167,7 @@ func TestFramePoisonCatchesMisuse(t *testing.T) {
 
 	env, a, b := newTaskPair(t)
 	ct := env.ContextTask("client")
-	a.Bind(b, "echo").CallT(ct, Bytes(0), func(Msg, error) {})
+	a.Bind(b, "echo").Call(ct, Bytes(0), func(Msg, error) {})
 	env.Run()
 
 	released := a.frames[len(a.frames)-1]

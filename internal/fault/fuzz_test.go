@@ -181,9 +181,9 @@ func fuzzWorkload(t *testing.T, p *sim.Proc, o *Oracle, r *xrand.Rand, ops int) 
 		var fd gluster.FD
 		var err error
 		if live[path] {
-			fd, err = o.Open(p, path)
+			fd, err = blocking(o).Open(p, path)
 		} else {
-			fd, err = o.Create(p, path)
+			fd, err = blocking(o).Create(p, path)
 		}
 		if err != nil {
 			return 0, false // a fault refused the op; fine
@@ -201,33 +201,33 @@ func fuzzWorkload(t *testing.T, p *sim.Proc, o *Oracle, r *xrand.Rand, ops int) 
 				seed++
 				off := r.Int63n(6 << 10)
 				size := 1 + r.Int63n(2<<10)
-				o.Write(p, fd, off, blob.Synthetic(seed, 0, size))
+				blocking(o).Write(p, fd, off, blob.Synthetic(seed, 0, size))
 			}
 		case 3, 4, 5: // read
 			if fd, ok := ensureOpen(path); ok {
-				o.Read(p, fd, r.Int63n(8<<10), 1+r.Int63n(4<<10))
+				blocking(o).Read(p, fd, r.Int63n(8<<10), 1+r.Int63n(4<<10))
 			}
 		case 6: // stat
 			if live[path] {
-				o.Stat(p, path)
+				blocking(o).Stat(p, path)
 			}
 		case 7: // truncate
 			if live[path] {
-				o.Truncate(p, path, r.Int63n(8<<10))
+				blocking(o).Truncate(p, path, r.Int63n(8<<10))
 			}
 		case 8: // close + reopen churn
 			if fd, ok := fds[path]; ok {
-				if o.Close(p, fd) == nil {
+				if blocking(o).Close(p, fd) == nil {
 					delete(fds, path)
 				}
 			}
 		case 9: // unlink
 			if fd, ok := fds[path]; ok {
-				if o.Close(p, fd) == nil {
+				if blocking(o).Close(p, fd) == nil {
 					delete(fds, path)
 				}
 			}
-			if live[path] && o.Unlink(p, path) == nil {
+			if live[path] && blocking(o).Unlink(p, path) == nil {
 				live[path] = false
 			}
 		}
@@ -235,7 +235,7 @@ func fuzzWorkload(t *testing.T, p *sim.Proc, o *Oracle, r *xrand.Rand, ops int) 
 	}
 	for _, path := range paths {
 		if fd, ok := fds[path]; ok {
-			o.Close(p, fd)
+			blocking(o).Close(p, fd)
 		}
 	}
 }
@@ -283,7 +283,7 @@ func TestFuzzPlansUpholdSection44(t *testing.T) {
 			t.Fatalf("seed %#x: fired %d of %d armed events\n%s\nflight recorder:\n%s",
 				seed, got, want, pl, flightDump(fr))
 		}
-		c.Env.Process("audit", func(p *sim.Proc) { o.VerifyAll(p) })
+		c.Env.Process("audit", func(p *sim.Proc) { verifyAll(p, o) })
 		c.Env.Run()
 		if v := o.Violations(); len(v) != 0 {
 			writeFuzzArtifacts(t, seed, pl, fr)

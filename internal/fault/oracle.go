@@ -87,10 +87,10 @@ func (o *Oracle) Register(reg *telemetry.Registry, prefix string) {
 // SetFlight attaches a flight recorder; each violation appends one record.
 func (o *Oracle) SetFlight(rec *flight.Recorder) { o.fr = rec }
 
-func (o *Oracle) violate(p *sim.Proc, format string, args ...interface{}) {
-	msg := fmt.Sprintf("t=%v: ", p.Now()) + fmt.Sprintf(format, args...)
+func (o *Oracle) violate(t *sim.Task, format string, args ...interface{}) {
+	msg := fmt.Sprintf("t=%v: ", t.Now()) + fmt.Sprintf(format, args...)
 	o.violations = append(o.violations, msg)
-	o.fr.Append(p.Now(), flight.KindViolation, "oracle", msg, int64(len(o.violations)))
+	o.fr.Append(t.Now(), flight.KindViolation, "oracle", msg, int64(len(o.violations)))
 }
 
 // expected returns the shadow contents for a read of [off, off+size) with
@@ -107,95 +107,99 @@ func expected(content []byte, off, size int64) []byte {
 }
 
 // Create implements gluster.FS.
-func (o *Oracle) Create(p *sim.Proc, path string) (gluster.FD, error) {
-	fd, err := o.child.Create(p, path)
-	if err == nil {
-		o.fds[fd] = path
-		o.shadow[path] = nil
-		o.mutations++
-	}
-	return fd, err
+func (o *Oracle) Create(t *sim.Task, path string, k func(gluster.FD, error)) {
+	o.child.Create(t, path, func(fd gluster.FD, err error) {
+		if err == nil {
+			o.fds[fd] = path
+			o.shadow[path] = nil
+			o.mutations++
+		}
+		k(fd, err)
+	})
 }
 
 // Open implements gluster.FS.
-func (o *Oracle) Open(p *sim.Proc, path string) (gluster.FD, error) {
-	fd, err := o.child.Open(p, path)
-	if err == nil {
-		o.fds[fd] = path
-		if _, tracked := o.shadow[path]; !tracked {
-			o.violate(p, "open %q succeeded but the shadow has no such file (lost unlink?)", path)
+func (o *Oracle) Open(t *sim.Task, path string, k func(gluster.FD, error)) {
+	o.child.Open(t, path, func(fd gluster.FD, err error) {
+		if err == nil {
+			o.fds[fd] = path
+			if _, tracked := o.shadow[path]; !tracked {
+				o.violate(t, "open %q succeeded but the shadow has no such file (lost unlink?)", path)
+			}
+		} else if _, tracked := o.shadow[path]; tracked && err == gluster.ErrNotExist {
+			o.violate(t, "open %q: file lost (shadow has %d bytes)", path, len(o.shadow[path]))
 		}
-	} else if _, tracked := o.shadow[path]; tracked && err == gluster.ErrNotExist {
-		o.violate(p, "open %q: file lost (shadow has %d bytes)", path, len(o.shadow[path]))
-	}
-	return fd, err
+		k(fd, err)
+	})
 }
 
 // Close implements gluster.FS.
-func (o *Oracle) Close(p *sim.Proc, fd gluster.FD) error {
-	err := o.child.Close(p, fd)
-	if err == nil {
-		delete(o.fds, fd)
-	}
-	return err
+func (o *Oracle) Close(t *sim.Task, fd gluster.FD, k func(error)) {
+	o.child.Close(t, fd, func(err error) {
+		if err == nil {
+			delete(o.fds, fd)
+		}
+		k(err)
+	})
 }
 
 // Read implements gluster.FS: a successful read must match the shadow.
-func (o *Oracle) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, error) {
-	data, err := o.child.Read(p, fd, off, size)
-	if err != nil {
-		return data, err
-	}
-	path, tracked := o.fds[fd]
-	if !tracked {
-		return data, nil
-	}
-	o.readChecks++
-	want := expected(o.shadow[path], off, size)
-	if got := data.Bytes(); !bytes.Equal(got, want) {
-		o.violate(p, "stale read %q [%d,+%d): got %d bytes (sum %x), shadow %d bytes (sum %x)",
-			path, off, size, len(got), blob.FromBytes(got).Checksum(),
-			len(want), blob.FromBytes(want).Checksum())
-	}
-	return data, nil
+func (o *Oracle) Read(t *sim.Task, fd gluster.FD, off, size int64, k func(blob.Blob, error)) {
+	o.child.Read(t, fd, off, size, func(data blob.Blob, err error) {
+		if err != nil {
+			k(data, err)
+			return
+		}
+		if path, tracked := o.fds[fd]; tracked {
+			o.readChecks++
+			want := expected(o.shadow[path], off, size)
+			if got := data.Bytes(); !bytes.Equal(got, want) {
+				o.violate(t, "stale read %q [%d,+%d): got %d bytes (sum %x), shadow %d bytes (sum %x)",
+					path, off, size, len(got), blob.FromBytes(got).Checksum(),
+					len(want), blob.FromBytes(want).Checksum())
+			}
+		}
+		k(data, nil)
+	})
 }
 
 // Write implements gluster.FS: an acknowledged write is spliced into the
 // shadow (zero-filling any hole, as the storage xlator does).
-func (o *Oracle) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (int64, error) {
-	n, err := o.child.Write(p, fd, off, data)
-	if err != nil {
-		return n, err
-	}
-	path, tracked := o.fds[fd]
-	if !tracked || n == 0 {
-		return n, nil
-	}
-	o.mutations++
-	content := o.shadow[path]
-	if need := off + n; int64(len(content)) < need {
-		grown := make([]byte, need)
-		copy(grown, content)
-		content = grown
-	}
-	copy(content[off:off+n], data.Slice(0, n).Bytes())
-	o.shadow[path] = content
-	return n, nil
+func (o *Oracle) Write(t *sim.Task, fd gluster.FD, off int64, data blob.Blob, k func(int64, error)) {
+	o.child.Write(t, fd, off, data, func(n int64, err error) {
+		if err != nil {
+			k(n, err)
+			return
+		}
+		if path, tracked := o.fds[fd]; tracked && n != 0 {
+			o.mutations++
+			content := o.shadow[path]
+			if need := off + n; int64(len(content)) < need {
+				grown := make([]byte, need)
+				copy(grown, content)
+				content = grown
+			}
+			copy(content[off:off+n], data.Slice(0, n).Bytes())
+			o.shadow[path] = content
+		}
+		k(n, nil)
+	})
 }
 
 // Stat implements gluster.FS: a successful stat of a tracked file must
 // report the shadow's size.
-func (o *Oracle) Stat(p *sim.Proc, path string) (*gluster.Stat, error) {
-	st, err := o.child.Stat(p, path)
-	if err == nil && !st.IsDir {
-		if content, tracked := o.shadow[path]; tracked {
-			o.statChecks++
-			if st.Size != int64(len(content)) {
-				o.violate(p, "stale stat %q: size %d, shadow %d", path, st.Size, len(content))
+func (o *Oracle) Stat(t *sim.Task, path string, k func(*gluster.Stat, error)) {
+	o.child.Stat(t, path, func(st *gluster.Stat, err error) {
+		if err == nil && !st.IsDir {
+			if content, tracked := o.shadow[path]; tracked {
+				o.statChecks++
+				if st.Size != int64(len(content)) {
+					o.violate(t, "stale stat %q: size %d, shadow %d", path, st.Size, len(content))
+				}
 			}
 		}
-	}
-	return st, err
+		k(st, err)
+	})
 }
 
 // Unlink implements gluster.FS. A successful unlink also orphans any
@@ -204,46 +208,49 @@ func (o *Oracle) Stat(p *sim.Proc, path string) (*gluster.Stat, error) {
 // the path-visible namespace the shadow models, so later writes through
 // an orphaned descriptor must not resurrect the shadow entry (they would
 // make the audit demand an open-by-path of an unlinked file).
-func (o *Oracle) Unlink(p *sim.Proc, path string) error {
-	err := o.child.Unlink(p, path)
-	if err == nil {
-		delete(o.shadow, path)
-		for fd, fdPath := range o.fds {
-			if fdPath == path {
-				delete(o.fds, fd)
+func (o *Oracle) Unlink(t *sim.Task, path string, k func(error)) {
+	o.child.Unlink(t, path, func(err error) {
+		if err == nil {
+			delete(o.shadow, path)
+			for fd, fdPath := range o.fds {
+				if fdPath == path {
+					delete(o.fds, fd)
+				}
 			}
+			o.mutations++
 		}
-		o.mutations++
-	}
-	return err
+		k(err)
+	})
 }
 
 // Mkdir implements gluster.FS (directories are not shadowed).
-func (o *Oracle) Mkdir(p *sim.Proc, path string) error { return o.child.Mkdir(p, path) }
+func (o *Oracle) Mkdir(t *sim.Task, path string, k func(error)) { o.child.Mkdir(t, path, k) }
 
 // Readdir implements gluster.FS (directories are not shadowed).
-func (o *Oracle) Readdir(p *sim.Proc, path string) ([]string, error) {
-	return o.child.Readdir(p, path)
+func (o *Oracle) Readdir(t *sim.Task, path string, k func([]string, error)) {
+	o.child.Readdir(t, path, k)
 }
 
 // Truncate implements gluster.FS: an acknowledged truncate resizes the
 // shadow, zero-extending growth.
-func (o *Oracle) Truncate(p *sim.Proc, path string, size int64) error {
-	err := o.child.Truncate(p, path, size)
-	if err != nil {
-		return err
-	}
-	if content, tracked := o.shadow[path]; tracked {
-		o.mutations++
-		if size <= int64(len(content)) {
-			o.shadow[path] = content[:size]
-		} else {
-			grown := make([]byte, size)
-			copy(grown, content)
-			o.shadow[path] = grown
+func (o *Oracle) Truncate(t *sim.Task, path string, size int64, k func(error)) {
+	o.child.Truncate(t, path, size, func(err error) {
+		if err != nil {
+			k(err)
+			return
 		}
-	}
-	return err
+		if content, tracked := o.shadow[path]; tracked {
+			o.mutations++
+			if size <= int64(len(content)) {
+				o.shadow[path] = content[:size]
+			} else {
+				grown := make([]byte, size)
+				copy(grown, content)
+				o.shadow[path] = grown
+			}
+		}
+		k(nil)
+	})
 }
 
 // VerifyAll reads every shadowed file back through the oracle (open, full
@@ -252,27 +259,37 @@ func (o *Oracle) Truncate(p *sim.Proc, path string, size int64) error {
 // audit that catches corruption the workload's own reads never touched.
 // Iteration is in sorted path order so the audit's simulated traffic is
 // deterministic.
-func (o *Oracle) VerifyAll(p *sim.Proc) []string {
+func (o *Oracle) VerifyAll(t *sim.Task, k func([]string)) {
 	paths := make([]string, 0, len(o.shadow))
 	for path := range o.shadow {
 		paths = append(paths, path)
 	}
 	sort.Strings(paths)
-	for _, path := range paths {
-		fd, err := o.Open(p, path)
-		if err != nil {
-			// Open already recorded the violation if the file is lost;
-			// other errors (a still-failed brick) mean the audit cannot
-			// run, which is itself worth flagging.
-			if err != gluster.ErrNotExist {
-				o.violate(p, "audit open %q: %v", path, err)
+	var step func(i int)
+	step = func(i int) {
+		if i == len(paths) {
+			k(o.violations)
+			return
+		}
+		path := paths[i]
+		o.Open(t, path, func(fd gluster.FD, err error) {
+			if err != nil {
+				// Open already recorded the violation if the file is lost;
+				// other errors (a still-failed brick) mean the audit cannot
+				// run, which is itself worth flagging.
+				if err != gluster.ErrNotExist {
+					o.violate(t, "audit open %q: %v", path, err)
+				}
+				step(i + 1)
+				return
 			}
-			continue
-		}
-		if _, err := o.Read(p, fd, 0, int64(len(o.shadow[path]))); err != nil {
-			o.violate(p, "audit read %q: %v", path, err)
-		}
-		_ = o.Close(p, fd)
+			o.Read(t, fd, 0, int64(len(o.shadow[path])), func(_ blob.Blob, err error) {
+				if err != nil {
+					o.violate(t, "audit read %q: %v", path, err)
+				}
+				o.Close(t, fd, func(error) { step(i + 1) })
+			})
+		})
 	}
-	return o.violations
+	step(0)
 }

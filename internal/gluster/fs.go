@@ -10,7 +10,11 @@
 // FUSE-crossing cost model (Fuse). The IMCa translators CMCache and SMCache
 // (internal/core) plug into the same stacks.
 //
-// All operations run in simulated-process context and advance virtual time.
+// Every operation runs on a sim.Task and delivers its result to a
+// continuation: an xlator advances virtual time through the kernel's task
+// primitives and calls its child with a continuation of its own. Sequential
+// scripts (shells, examples, tests) drive a stack through Sync, which blocks
+// a sim.Proc on each call via sim.Await.
 package gluster
 
 import (
@@ -52,66 +56,33 @@ var (
 )
 
 // FS is the xlator interface: the operation set every translator
-// implements. Methods must be called in simulated-process context; they
-// block p for the operation's virtual duration.
+// implements. Each operation runs on task t, advancing virtual time through
+// the kernel's task primitives, and calls k exactly once with its result —
+// inline when it completes without waiting, otherwise from a later event.
 type FS interface {
 	// Create makes a new regular file and opens it.
-	Create(p *sim.Proc, path string) (FD, error)
+	Create(t *sim.Task, path string, k func(FD, error))
 	// Open opens an existing regular file.
-	Open(p *sim.Proc, path string) (FD, error)
+	Open(t *sim.Task, path string, k func(FD, error))
 	// Close releases a descriptor.
-	Close(p *sim.Proc, fd FD) error
-	// Read returns up to size bytes at off; short reads happen only at
+	Close(t *sim.Task, fd FD, k func(error))
+	// Read delivers up to size bytes at off; short reads happen only at
 	// end of file.
-	Read(p *sim.Proc, fd FD, off, size int64) (blob.Blob, error)
+	Read(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, error))
 	// Write stores data at off, extending the file if needed, and
-	// returns the byte count written. Writes are persistent: they reach
-	// the storage xlator (and its disk) before returning.
-	Write(p *sim.Proc, fd FD, off int64, data blob.Blob) (int64, error)
+	// delivers the byte count written. Writes are persistent: they reach
+	// the storage xlator (and its disk) before k runs.
+	Write(t *sim.Task, fd FD, off int64, data blob.Blob, k func(int64, error))
 	// Stat describes the file or directory at path.
-	Stat(p *sim.Proc, path string) (*Stat, error)
+	Stat(t *sim.Task, path string, k func(*Stat, error))
 	// Unlink removes a regular file.
-	Unlink(p *sim.Proc, path string) error
+	Unlink(t *sim.Task, path string, k func(error))
 	// Mkdir creates a directory (parents are created as needed).
-	Mkdir(p *sim.Proc, path string) error
+	Mkdir(t *sim.Task, path string, k func(error))
 	// Readdir lists the names in a directory.
-	Readdir(p *sim.Proc, path string) ([]string, error)
+	Readdir(t *sim.Task, path string, k func([]string, error))
 	// Truncate sets the file size.
-	Truncate(p *sim.Proc, path string, size int64) error
-}
-
-// TaskFS is the continuation-engine face of an xlator: the subset of
-// operations client workload bodies issue, each taking a sim.Task and a
-// completion callback instead of blocking a process. An xlator implements
-// TaskFS when its whole downward stack does; TaskReady reports whether
-// that is actually the case for this instance (a type may implement the
-// interface while wrapping a child that does not — a CMCache over a
-// foreign file system, say — in which case workloads fall back to the
-// process engine).
-//
-// Every *T operation mirrors its blocking sibling's virtual-time charges
-// and kernel schedule consumption exactly; see sim.Task.
-type TaskFS interface {
-	FS
-	CreateT(t *sim.Task, path string, k func(FD, error))
-	OpenT(t *sim.Task, path string, k func(FD, error))
-	CloseT(t *sim.Task, fd FD, k func(error))
-	ReadT(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, error))
-	WriteT(t *sim.Task, fd FD, off int64, data blob.Blob, k func(int64, error))
-	StatT(t *sim.Task, path string, k func(*Stat, error))
-	UnlinkT(t *sim.Task, path string, k func(error))
-	// TaskReady reports whether this instance's full stack can serve the
-	// *T operations.
-	TaskReady() bool
-}
-
-// AsTaskFS returns fs as a usable TaskFS, or nil when fs (or anything
-// below it) cannot serve the continuation engine.
-func AsTaskFS(fs FS) TaskFS {
-	if tfs, ok := fs.(TaskFS); ok && tfs.TaskReady() {
-		return tfs
-	}
-	return nil
+	Truncate(t *sim.Task, path string, size int64, k func(error))
 }
 
 // errCode converts an FS error to a compact wire code and back.

@@ -118,82 +118,115 @@ func (io *IOCache) insert(path string, pg int64, data blob.Blob) {
 
 // revalidate checks the file's mtime when the TTL has lapsed, dropping
 // stale pages. It is the only coherency mechanism this translator has.
-func (io *IOCache) revalidate(p *sim.Proc, path string) {
+func (io *IOCache) revalidate(t *sim.Task, path string, k func()) {
 	f := io.fileFor(path)
 	now := io.env.Now()
 	if f.validated >= 0 && now.Sub(f.validated) < io.ttl {
-		return // trust the cache inside the TTL window
-	}
-	io.Revalidations++
-	st, err := io.child.Stat(p, path)
-	if err != nil {
-		io.dropFile(path)
+		k() // trust the cache inside the TTL window
 		return
 	}
-	if f.validated >= 0 && st.Mtime != f.mtime {
-		io.Stale++
-		io.dropFile(path)
-	}
-	f.mtime = st.Mtime
-	f.validated = now
+	io.Revalidations++
+	io.child.Stat(t, path, func(st *Stat, err error) {
+		if err != nil {
+			io.dropFile(path)
+			k()
+			return
+		}
+		if f.validated >= 0 && st.Mtime != f.mtime {
+			io.Stale++
+			io.dropFile(path)
+		}
+		f.mtime = st.Mtime
+		f.validated = now
+		k()
+	})
 }
 
 // Create implements FS.
-func (io *IOCache) Create(p *sim.Proc, path string) (FD, error) {
-	fd, err := io.child.Create(p, path)
-	if err == nil {
-		io.fds[fd] = path
-		io.dropFile(path)
-	}
-	return fd, err
+func (io *IOCache) Create(t *sim.Task, path string, k func(FD, error)) {
+	io.child.Create(t, path, func(fd FD, err error) {
+		if err == nil {
+			io.fds[fd] = path
+			io.dropFile(path)
+		}
+		k(fd, err)
+	})
 }
 
 // Open implements FS.
-func (io *IOCache) Open(p *sim.Proc, path string) (FD, error) {
-	fd, err := io.child.Open(p, path)
-	if err == nil {
-		io.fds[fd] = path
-	}
-	return fd, err
+func (io *IOCache) Open(t *sim.Task, path string, k func(FD, error)) {
+	io.child.Open(t, path, func(fd FD, err error) {
+		if err == nil {
+			io.fds[fd] = path
+		}
+		k(fd, err)
+	})
 }
 
 // Close implements FS. Pages persist past close (they may serve a later
 // open within the TTL), as in io-cache.
-func (io *IOCache) Close(p *sim.Proc, fd FD) error {
+func (io *IOCache) Close(t *sim.Task, fd FD, k func(error)) {
 	delete(io.fds, fd)
-	return io.child.Close(p, fd)
+	io.child.Close(t, fd, k)
 }
 
 // Read implements FS, serving cached pages without server contact inside
 // the TTL window.
-func (io *IOCache) Read(p *sim.Proc, fd FD, off, size int64) (blob.Blob, error) {
-	sp := optrace.StartSpan(p, optrace.LayerIOCache, "read")
-	defer sp.End(p)
+func (io *IOCache) Read(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerIOCache, "read")
+	done := func(data blob.Blob, err error) {
+		sp.End(t)
+		k(data, err)
+	}
 	path, tracked := io.fds[fd]
 	if !tracked || size <= 0 {
-		return io.child.Read(p, fd, off, size)
+		io.child.Read(t, fd, off, size, done)
+		return
 	}
-	io.revalidate(p, path)
-	f := io.fileFor(path)
-
-	first := off / ioPageSize
-	last := (off + size - 1) / ioPageSize
-	allCached := true
-	for pg := first; pg <= last; pg++ {
-		if _, ok := f.pages[pg]; !ok {
-			allCached = false
-			break
+	io.revalidate(t, path, func() {
+		f := io.fileFor(path)
+		first := off / ioPageSize
+		last := (off + size - 1) / ioPageSize
+		for pg := first; pg <= last; pg++ {
+			if _, ok := f.pages[pg]; !ok {
+				io.Misses++
+				sp.SetAttr("result", "miss")
+				io.fill(t, fd, path, off, size, first, last, done)
+				return
+			}
 		}
-	}
-	if !allCached {
-		io.Misses++
-		sp.SetAttr("result", "miss")
-		// Fetch the whole page-aligned span and cache it.
-		lo := first * ioPageSize
-		hi := (last + 1) * ioPageSize
-		data, err := io.child.Read(p, fd, lo, hi-lo)
+		io.Hits++
+		sp.SetAttr("result", "hit")
+		var parts []blob.Blob
+		for pg := first; pg <= last; pg++ {
+			page := f.pages[pg].data
+			io.lru.MoveToFront(f.pages[pg].el)
+			lo := int64(0)
+			if pg == first {
+				lo = off - pg*ioPageSize
+			}
+			hi := page.Len()
+			if end := off + size - pg*ioPageSize; end < hi {
+				hi = end
+			}
+			if lo >= hi {
+				break
+			}
+			parts = append(parts, page.Slice(lo, hi))
+		}
+		done(blob.Concat(parts...), nil)
+	})
+}
+
+// fill serves a read miss: fetch the whole page-aligned span of pages
+// [first, last], cache it, and deliver the requested range.
+func (io *IOCache) fill(t *sim.Task, fd FD, path string, off, size, first, last int64, k func(blob.Blob, error)) {
+	lo := first * ioPageSize
+	hi := (last + 1) * ioPageSize
+	io.child.Read(t, fd, lo, hi-lo, func(data blob.Blob, err error) {
 		if err != nil {
-			return blob.Blob{}, err
+			k(blob.Blob{}, err)
+			return
 		}
 		for pg := first; pg <= last; pg++ {
 			plo := pg*ioPageSize - lo
@@ -208,91 +241,75 @@ func (io *IOCache) Read(p *sim.Proc, fd FD, off, size int64) (blob.Blob, error) 
 		}
 		rlo := off - lo
 		if rlo >= data.Len() {
-			return blob.Blob{}, nil
+			k(blob.Blob{}, nil)
+			return
 		}
 		rhi := rlo + size
 		if rhi > data.Len() {
 			rhi = data.Len()
 		}
-		return data.Slice(rlo, rhi), nil
-	}
-
-	io.Hits++
-	sp.SetAttr("result", "hit")
-	var parts []blob.Blob
-	for pg := first; pg <= last; pg++ {
-		page := f.pages[pg].data
-		io.lru.MoveToFront(f.pages[pg].el)
-		lo := int64(0)
-		if pg == first {
-			lo = off - pg*ioPageSize
-		}
-		hi := page.Len()
-		if end := off + size - pg*ioPageSize; end < hi {
-			hi = end
-		}
-		if lo >= hi {
-			break
-		}
-		parts = append(parts, page.Slice(lo, hi))
-	}
-	return blob.Concat(parts...), nil
+		k(data.Slice(rlo, rhi), nil)
+	})
 }
 
 // Write implements FS: write-through, patching our own cached pages and
 // refreshing the validation stamp (writers see their own writes; other
 // clients wait for their TTL).
-func (io *IOCache) Write(p *sim.Proc, fd FD, off int64, data blob.Blob) (int64, error) {
-	sp := optrace.StartSpan(p, optrace.LayerIOCache, "write")
-	defer sp.End(p)
-	n, err := io.child.Write(p, fd, off, data)
-	if err != nil {
-		return n, err
-	}
-	path, tracked := io.fds[fd]
-	if !tracked {
-		return n, nil
-	}
-	// Invalidate overlapped pages (simpler and safe vs patching).
-	f := io.fileFor(path)
-	first := off / ioPageSize
-	last := (off + n - 1) / ioPageSize
-	for pg := first; pg <= last; pg++ {
-		if pp, ok := f.pages[pg]; ok {
-			io.used -= pp.data.Len()
-			io.lru.Remove(pp.el)
-			delete(f.pages, pg)
+func (io *IOCache) Write(t *sim.Task, fd FD, off int64, data blob.Blob, k func(int64, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerIOCache, "write")
+	io.child.Write(t, fd, off, data, func(n int64, err error) {
+		path, tracked := io.fds[fd]
+		if err != nil || !tracked {
+			sp.End(t)
+			k(n, err)
+			return
 		}
-	}
-	if st, serr := io.child.Stat(p, path); serr == nil {
-		f.mtime = st.Mtime
-		f.validated = io.env.Now()
-	}
-	return n, nil
+		// Invalidate overlapped pages (simpler and safe vs patching).
+		f := io.fileFor(path)
+		first := off / ioPageSize
+		last := (off + n - 1) / ioPageSize
+		for pg := first; pg <= last; pg++ {
+			if pp, ok := f.pages[pg]; ok {
+				io.used -= pp.data.Len()
+				io.lru.Remove(pp.el)
+				delete(f.pages, pg)
+			}
+		}
+		io.child.Stat(t, path, func(st *Stat, serr error) {
+			if serr == nil {
+				f.mtime = st.Mtime
+				f.validated = io.env.Now()
+			}
+			sp.End(t)
+			k(n, nil)
+		})
+	})
 }
 
 // Stat implements FS (uncached; io-cache only caches data).
-func (io *IOCache) Stat(p *sim.Proc, path string) (*Stat, error) {
-	return io.child.Stat(p, path)
+func (io *IOCache) Stat(t *sim.Task, path string, k func(*Stat, error)) {
+	io.child.Stat(t, path, k)
 }
 
 // Unlink implements FS.
-func (io *IOCache) Unlink(p *sim.Proc, path string) error {
+func (io *IOCache) Unlink(t *sim.Task, path string, k func(error)) {
 	io.dropFile(path)
 	delete(io.files, path)
-	return io.child.Unlink(p, path)
+	io.child.Unlink(t, path, k)
 }
 
 // Mkdir implements FS.
-func (io *IOCache) Mkdir(p *sim.Proc, path string) error { return io.child.Mkdir(p, path) }
+func (io *IOCache) Mkdir(t *sim.Task, path string, k func(error)) {
+	io.child.Mkdir(t, path, k)
+}
 
 // Readdir implements FS.
-func (io *IOCache) Readdir(p *sim.Proc, path string) ([]string, error) {
-	return io.child.Readdir(p, path)
+func (io *IOCache) Readdir(t *sim.Task, path string, k func([]string, error)) {
+	io.child.Readdir(t, path, k)
 }
 
 // Truncate implements FS.
-func (io *IOCache) Truncate(p *sim.Proc, path string, size int64) error {
+func (io *IOCache) Truncate(t *sim.Task, path string, size int64, k func(error)) {
 	io.dropFile(path)
-	return io.child.Truncate(p, path, size)
+	io.child.Truncate(t, path, size, k)
 }

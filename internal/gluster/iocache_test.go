@@ -13,13 +13,13 @@ func TestIOCacheRepeatReadsAreLocal(t *testing.T) {
 	ioc := NewIOCache(v.env, v.client, 16<<20, time.Second)
 	var first, second sim.Duration
 	v.env.Process("t", func(p *sim.Proc) {
-		fd, _ := ioc.Create(p, "/c/f")
-		ioc.Write(p, fd, 0, blob.Synthetic(1, 0, 64<<10))
+		fd, _ := blocking(ioc).Create(p, "/c/f")
+		blocking(ioc).Write(p, fd, 0, blob.Synthetic(1, 0, 64<<10))
 		start := p.Now()
-		ioc.Read(p, fd, 0, 64<<10)
+		blocking(ioc).Read(p, fd, 0, 64<<10)
 		first = p.Now().Sub(start)
 		start = p.Now()
-		got, err := ioc.Read(p, fd, 0, 64<<10)
+		got, err := blocking(ioc).Read(p, fd, 0, 64<<10)
 		second = p.Now().Sub(start)
 		if err != nil || !got.Equal(blob.Synthetic(1, 0, 64<<10)) {
 			t.Fatal("cached read wrong")
@@ -41,11 +41,11 @@ func TestIOCacheWriterSeesOwnWrites(t *testing.T) {
 	v := newTestVolume(t)
 	ioc := NewIOCache(v.env, v.client, 16<<20, time.Second)
 	v.env.Process("t", func(p *sim.Proc) {
-		fd, _ := ioc.Create(p, "/c/own")
-		ioc.Write(p, fd, 0, blob.FromString("version-one"))
-		ioc.Read(p, fd, 0, 11) // cache it
-		ioc.Write(p, fd, 0, blob.FromString("version-TWO"))
-		got, _ := ioc.Read(p, fd, 0, 11)
+		fd, _ := blocking(ioc).Create(p, "/c/own")
+		blocking(ioc).Write(p, fd, 0, blob.FromString("version-one"))
+		blocking(ioc).Read(p, fd, 0, 11) // cache it
+		blocking(ioc).Write(p, fd, 0, blob.FromString("version-TWO"))
+		got, _ := blocking(ioc).Read(p, fd, 0, 11)
 		if string(got.Bytes()) != "version-TWO" {
 			t.Errorf("writer saw %q after own write", got.Bytes())
 		}
@@ -65,24 +65,24 @@ func TestIOCacheServesStaleUnderSharing(t *testing.T) {
 	writerB := v.client // direct, uncached
 	var sawStale bool
 	v.env.Process("t", func(p *sim.Proc) {
-		fdB, _ := writerB.Create(p, "/c/shared")
-		writerB.Write(p, fdB, 0, blob.FromString("OLD-OLD-OLD"))
+		fdB, _ := blocking(writerB).Create(p, "/c/shared")
+		blocking(writerB).Write(p, fdB, 0, blob.FromString("OLD-OLD-OLD"))
 
-		fdA, _ := cacheA.Open(p, "/c/shared")
-		got, _ := cacheA.Read(p, fdA, 0, 11) // caches OLD
+		fdA, _ := blocking(cacheA).Open(p, "/c/shared")
+		got, _ := blocking(cacheA).Read(p, fdA, 0, 11) // caches OLD
 		if string(got.Bytes()) != "OLD-OLD-OLD" {
 			t.Fatal("initial read wrong")
 		}
 
-		writerB.Write(p, fdB, 0, blob.FromString("NEW-NEW-NEW"))
+		blocking(writerB).Write(p, fdB, 0, blob.FromString("NEW-NEW-NEW"))
 
 		// Within the TTL: cacheA still serves the overwritten bytes.
-		got, _ = cacheA.Read(p, fdA, 0, 11)
+		got, _ = blocking(cacheA).Read(p, fdA, 0, 11)
 		sawStale = string(got.Bytes()) == "OLD-OLD-OLD"
 
 		// After the TTL, revalidation notices the new mtime.
 		p.Sleep(2 * time.Second)
-		got, _ = cacheA.Read(p, fdA, 0, 11)
+		got, _ = blocking(cacheA).Read(p, fdA, 0, 11)
 		if string(got.Bytes()) != "NEW-NEW-NEW" {
 			t.Errorf("post-TTL read still stale: %q", got.Bytes())
 		}
@@ -108,11 +108,11 @@ func TestIMCaNeverStaleWhereIOCacheIs(t *testing.T) {
 	// uncached baseline also never goes stale.
 	v := newTestVolume(t)
 	v.env.Process("t", func(p *sim.Proc) {
-		fdW, _ := v.client.Create(p, "/c/imca")
-		v.client.Write(p, fdW, 0, blob.FromString("OLD"))
-		fdR, _ := v.client.Open(p, "/c/imca")
-		v.client.Write(p, fdW, 0, blob.FromString("NEW"))
-		got, _ := v.client.Read(p, fdR, 0, 3)
+		fdW, _ := blocking(v.client).Create(p, "/c/imca")
+		blocking(v.client).Write(p, fdW, 0, blob.FromString("OLD"))
+		fdR, _ := blocking(v.client).Open(p, "/c/imca")
+		blocking(v.client).Write(p, fdW, 0, blob.FromString("NEW"))
+		got, _ := blocking(v.client).Read(p, fdR, 0, 3)
 		if string(got.Bytes()) != "NEW" {
 			t.Errorf("uncached read stale: %q", got.Bytes())
 		}
@@ -124,9 +124,9 @@ func TestIOCacheCapacityBounded(t *testing.T) {
 	v := newTestVolume(t)
 	ioc := NewIOCache(v.env, v.client, 64<<10, time.Second) // 16 pages
 	v.env.Process("t", func(p *sim.Proc) {
-		fd, _ := ioc.Create(p, "/c/big")
-		ioc.Write(p, fd, 0, blob.Synthetic(1, 0, 1<<20))
-		ioc.Read(p, fd, 0, 1<<20)
+		fd, _ := blocking(ioc).Create(p, "/c/big")
+		blocking(ioc).Write(p, fd, 0, blob.Synthetic(1, 0, 1<<20))
+		blocking(ioc).Read(p, fd, 0, 1<<20)
 	})
 	v.env.Run()
 	if ioc.used > 64<<10 {
@@ -138,12 +138,12 @@ func TestIOCacheUnlinkDropsPages(t *testing.T) {
 	v := newTestVolume(t)
 	ioc := NewIOCache(v.env, v.client, 16<<20, time.Hour)
 	v.env.Process("t", func(p *sim.Proc) {
-		fd, _ := ioc.Create(p, "/c/gone")
-		ioc.Write(p, fd, 0, blob.FromString("data"))
-		ioc.Read(p, fd, 0, 4)
-		ioc.Close(p, fd)
-		ioc.Unlink(p, "/c/gone")
-		if _, err := ioc.Open(p, "/c/gone"); err != ErrNotExist {
+		fd, _ := blocking(ioc).Create(p, "/c/gone")
+		blocking(ioc).Write(p, fd, 0, blob.FromString("data"))
+		blocking(ioc).Read(p, fd, 0, 4)
+		blocking(ioc).Close(p, fd)
+		blocking(ioc).Unlink(p, "/c/gone")
+		if _, err := blocking(ioc).Open(p, "/c/gone"); err != ErrNotExist {
 			t.Errorf("open after unlink = %v", err)
 		}
 	})

@@ -31,6 +31,17 @@ func NewIOStats(env *sim.Env, child FS) *IOStats {
 	return &IOStats{env: env, child: child, ops: make(map[string]*metrics.Histogram)}
 }
 
+// begin opens an operation's span and returns its completion: record the
+// latency, then close the span.
+func (s *IOStats) begin(t *sim.Task, name string) func() {
+	sp := optrace.StartSpan(t, optrace.LayerIOStats, name)
+	start := t.Now()
+	return func() {
+		s.observe(name, start)
+		sp.End(t)
+	}
+}
+
 func (s *IOStats) observe(name string, start sim.Time) {
 	h := s.ops[name]
 	if h == nil {
@@ -59,103 +70,93 @@ func (s *IOStats) Dump(w io.Writer) {
 }
 
 // Create implements FS.
-func (s *IOStats) Create(p *sim.Proc, path string) (FD, error) {
-	sp := optrace.StartSpan(p, optrace.LayerIOStats, "create")
-	defer sp.End(p)
-	start := p.Now()
-	fd, err := s.child.Create(p, path)
-	s.observe("create", start)
-	return fd, err
+func (s *IOStats) Create(t *sim.Task, path string, k func(FD, error)) {
+	end := s.begin(t, "create")
+	s.child.Create(t, path, func(fd FD, err error) {
+		end()
+		k(fd, err)
+	})
 }
 
 // Open implements FS.
-func (s *IOStats) Open(p *sim.Proc, path string) (FD, error) {
-	sp := optrace.StartSpan(p, optrace.LayerIOStats, "open")
-	defer sp.End(p)
-	start := p.Now()
-	fd, err := s.child.Open(p, path)
-	s.observe("open", start)
-	return fd, err
+func (s *IOStats) Open(t *sim.Task, path string, k func(FD, error)) {
+	end := s.begin(t, "open")
+	s.child.Open(t, path, func(fd FD, err error) {
+		end()
+		k(fd, err)
+	})
 }
 
 // Close implements FS.
-func (s *IOStats) Close(p *sim.Proc, fd FD) error {
-	sp := optrace.StartSpan(p, optrace.LayerIOStats, "close")
-	defer sp.End(p)
-	start := p.Now()
-	err := s.child.Close(p, fd)
-	s.observe("close", start)
-	return err
+func (s *IOStats) Close(t *sim.Task, fd FD, k func(error)) {
+	end := s.begin(t, "close")
+	s.child.Close(t, fd, func(err error) {
+		end()
+		k(err)
+	})
 }
 
 // Read implements FS.
-func (s *IOStats) Read(p *sim.Proc, fd FD, off, size int64) (blob.Blob, error) {
-	sp := optrace.StartSpan(p, optrace.LayerIOStats, "read")
-	defer sp.End(p)
-	start := p.Now()
-	data, err := s.child.Read(p, fd, off, size)
-	s.observe("read", start)
-	s.ReadB += data.Len()
-	return data, err
+func (s *IOStats) Read(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, error)) {
+	end := s.begin(t, "read")
+	s.child.Read(t, fd, off, size, func(data blob.Blob, err error) {
+		end()
+		s.ReadB += data.Len()
+		k(data, err)
+	})
 }
 
 // Write implements FS.
-func (s *IOStats) Write(p *sim.Proc, fd FD, off int64, data blob.Blob) (int64, error) {
-	sp := optrace.StartSpan(p, optrace.LayerIOStats, "write")
-	defer sp.End(p)
-	start := p.Now()
-	n, err := s.child.Write(p, fd, off, data)
-	s.observe("write", start)
-	s.WriteB += n
-	return n, err
+func (s *IOStats) Write(t *sim.Task, fd FD, off int64, data blob.Blob, k func(int64, error)) {
+	end := s.begin(t, "write")
+	s.child.Write(t, fd, off, data, func(n int64, err error) {
+		end()
+		s.WriteB += n
+		k(n, err)
+	})
 }
 
 // Stat implements FS.
-func (s *IOStats) Stat(p *sim.Proc, path string) (*Stat, error) {
-	sp := optrace.StartSpan(p, optrace.LayerIOStats, "stat")
-	defer sp.End(p)
-	start := p.Now()
-	st, err := s.child.Stat(p, path)
-	s.observe("stat", start)
-	return st, err
+func (s *IOStats) Stat(t *sim.Task, path string, k func(*Stat, error)) {
+	end := s.begin(t, "stat")
+	s.child.Stat(t, path, func(st *Stat, err error) {
+		end()
+		k(st, err)
+	})
 }
 
 // Unlink implements FS.
-func (s *IOStats) Unlink(p *sim.Proc, path string) error {
-	sp := optrace.StartSpan(p, optrace.LayerIOStats, "unlink")
-	defer sp.End(p)
-	start := p.Now()
-	err := s.child.Unlink(p, path)
-	s.observe("unlink", start)
-	return err
+func (s *IOStats) Unlink(t *sim.Task, path string, k func(error)) {
+	end := s.begin(t, "unlink")
+	s.child.Unlink(t, path, func(err error) {
+		end()
+		k(err)
+	})
 }
 
 // Mkdir implements FS.
-func (s *IOStats) Mkdir(p *sim.Proc, path string) error {
-	sp := optrace.StartSpan(p, optrace.LayerIOStats, "mkdir")
-	defer sp.End(p)
-	start := p.Now()
-	err := s.child.Mkdir(p, path)
-	s.observe("mkdir", start)
-	return err
+func (s *IOStats) Mkdir(t *sim.Task, path string, k func(error)) {
+	end := s.begin(t, "mkdir")
+	s.child.Mkdir(t, path, func(err error) {
+		end()
+		k(err)
+	})
 }
 
 // Readdir implements FS.
-func (s *IOStats) Readdir(p *sim.Proc, path string) ([]string, error) {
-	sp := optrace.StartSpan(p, optrace.LayerIOStats, "readdir")
-	defer sp.End(p)
-	start := p.Now()
-	names, err := s.child.Readdir(p, path)
-	s.observe("readdir", start)
-	return names, err
+func (s *IOStats) Readdir(t *sim.Task, path string, k func([]string, error)) {
+	end := s.begin(t, "readdir")
+	s.child.Readdir(t, path, func(names []string, err error) {
+		end()
+		k(names, err)
+	})
 }
 
 // Truncate implements FS.
-func (s *IOStats) Truncate(p *sim.Proc, path string, size int64) error {
-	sp := optrace.StartSpan(p, optrace.LayerIOStats, "truncate")
-	defer sp.End(p)
-	start := p.Now()
-	err := s.child.Truncate(p, path, size)
-	s.observe("truncate", start)
-	return err
+func (s *IOStats) Truncate(t *sim.Task, path string, size int64, k func(error)) {
+	end := s.begin(t, "truncate")
+	s.child.Truncate(t, path, size, func(err error) {
+		end()
+		k(err)
+	})
 }

@@ -85,7 +85,7 @@ type Posix struct {
 	nextOff    int64
 	journalOff int64
 
-	// statOps is the StatT frame free list; see posixStatOp.
+	// statOps is the Stat frame free list; see posixStatOp.
 	statOps []*posixStatOp
 
 	// Stats
@@ -164,36 +164,48 @@ func (px *Posix) ensureDir(path string) map[string]struct{} {
 
 func (px *Posix) metaKey(ino uint64) uint64 { return ino | metaInoBit }
 
+// FileCount returns the number of regular files (for tests).
+func (px *Posix) FileCount() int { return len(px.files) }
+
 // touchMeta accounts a metadata-page access: a buffer-cache hit is free,
 // a miss reads the inode block from disk.
-func (px *Posix) touchMeta(p *sim.Proc, in *inode, write bool) {
+func (px *Posix) touchMeta(t *sim.Task, in *inode, write bool, k func()) {
 	if write {
-		// Reserve the journal slot before blocking in the disk queue, so
+		// Reserve the journal slot before queueing at the disk, so
 		// concurrent metadata updates append in order.
 		off := px.journalOff
 		px.journalOff += metaRegion
-		px.dev.Access(p, journalBase+off, metaRegion, true)
-		px.DiskWrites++
-		px.cache.Insert(px.metaKey(in.ino), 0, metaRegion)
+		px.dev.Access(t, journalBase+off, metaRegion, true, func() {
+			px.DiskWrites++
+			px.cache.Insert(px.metaKey(in.ino), 0, metaRegion)
+			k()
+		})
 		return
 	}
 	if missing := px.cache.Lookup(px.metaKey(in.ino), 0, metaRegion); len(missing) > 0 {
-		px.dev.Access(p, in.base, metaRegion, false)
-		px.DiskReads++
-		px.cache.Insert(px.metaKey(in.ino), 0, metaRegion)
+		px.dev.Access(t, in.base, metaRegion, false, func() {
+			px.DiskReads++
+			px.cache.Insert(px.metaKey(in.ino), 0, metaRegion)
+			k()
+		})
+		return
 	}
+	k()
 }
 
 // Create implements FS.
-func (px *Posix) Create(p *sim.Proc, path string) (FD, error) {
-	sp := optrace.StartSpan(p, optrace.LayerPosix, "create")
-	defer sp.End(p)
+func (px *Posix) Create(t *sim.Task, path string, k func(FD, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerPosix, "create")
 	path = clean(path)
 	if _, ok := px.files[path]; ok {
-		return 0, ErrExist
+		sp.End(t)
+		k(0, ErrExist)
+		return
 	}
 	if _, ok := px.dirs[path]; ok {
-		return 0, ErrIsDir
+		sp.End(t)
+		k(0, ErrIsDir)
+		return
 	}
 	dir, name := parentOf(path)
 	px.ensureDir(dir)[name] = struct{}{}
@@ -207,52 +219,66 @@ func (px *Posix) Create(p *sim.Proc, path string) (FD, error) {
 	}
 	px.nextOff += fileRegion
 	px.files[path] = in
-	px.touchMeta(p, in, true)
-	px.nextFD++
-	px.fds[px.nextFD] = &openFile{ino: in, path: path}
-	return px.nextFD, nil
+	px.touchMeta(t, in, true, func() {
+		px.nextFD++
+		fd := px.nextFD
+		px.fds[fd] = &openFile{ino: in, path: path}
+		sp.End(t)
+		k(fd, nil)
+	})
 }
 
 // Open implements FS.
-func (px *Posix) Open(p *sim.Proc, path string) (FD, error) {
-	sp := optrace.StartSpan(p, optrace.LayerPosix, "open")
-	defer sp.End(p)
+func (px *Posix) Open(t *sim.Task, path string, k func(FD, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerPosix, "open")
 	path = clean(path)
 	in, ok := px.files[path]
 	if !ok {
+		sp.End(t)
 		if _, isDir := px.dirs[path]; isDir {
-			return 0, ErrIsDir
+			k(0, ErrIsDir)
+			return
 		}
-		return 0, ErrNotExist
+		k(0, ErrNotExist)
+		return
 	}
-	px.touchMeta(p, in, false)
-	px.nextFD++
-	px.fds[px.nextFD] = &openFile{ino: in, path: path}
-	return px.nextFD, nil
+	px.touchMeta(t, in, false, func() {
+		px.nextFD++
+		fd := px.nextFD
+		px.fds[fd] = &openFile{ino: in, path: path}
+		sp.End(t)
+		k(fd, nil)
+	})
 }
 
 // Close implements FS.
-func (px *Posix) Close(p *sim.Proc, fd FD) error {
-	sp := optrace.StartSpan(p, optrace.LayerPosix, "close")
-	defer sp.End(p)
+func (px *Posix) Close(t *sim.Task, fd FD, k func(error)) {
+	sp := optrace.StartSpan(t, optrace.LayerPosix, "close")
 	if _, ok := px.fds[fd]; !ok {
-		return ErrBadFD
+		sp.End(t)
+		k(ErrBadFD)
+		return
 	}
 	delete(px.fds, fd)
-	return nil
+	sp.End(t)
+	k(nil)
 }
 
-// Read implements FS.
-func (px *Posix) Read(p *sim.Proc, fd FD, off, size int64) (blob.Blob, error) {
-	sp := optrace.StartSpan(p, optrace.LayerPosix, "read")
-	defer sp.End(p)
+// Read implements FS. Missing extents are read from the device one at a
+// time, in offset order; the last one is extended by the readahead window.
+func (px *Posix) Read(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerPosix, "read")
 	of, ok := px.fds[fd]
 	if !ok {
-		return blob.Blob{}, ErrBadFD
+		sp.End(t)
+		k(blob.Blob{}, ErrBadFD)
+		return
 	}
 	in := of.ino
 	if off >= in.size {
-		return blob.Blob{}, nil
+		sp.End(t)
+		k(blob.Blob{}, nil)
+		return
 	}
 	if off+size > in.size {
 		size = in.size - off
@@ -260,87 +286,203 @@ func (px *Posix) Read(p *sim.Proc, fd FD, off, size int64) (blob.Blob, error) {
 	dataBase := in.base + metaRegion
 	missing := px.cache.Lookup(in.ino, off, size)
 	fillStart := px.env.Now()
-	for i, r := range missing {
+	var step func(i int)
+	step = func(i int) {
+		if i == len(missing) {
+			if len(missing) > 0 {
+				px.cache.FillHist.Observe(px.env.Now().Sub(fillStart))
+			}
+			in.atime = px.env.Now()
+			sp.End(t)
+			k(in.data.read(off, size), nil)
+			return
+		}
+		r := missing[i]
 		n := r.Len
 		if i == len(missing)-1 && r.End() >= off+size {
-			// The miss reaches the end of the request: read ahead.
 			n += px.readahead
 		}
-		// Clip the page-aligned miss to the file size: the tail page
-		// of a short file reads only what exists.
 		if r.Off+n > in.size {
 			n = in.size - r.Off
 		}
 		if n <= 0 {
-			continue
+			step(i + 1)
+			return
 		}
-		px.dev.Access(p, dataBase+r.Off, n, false)
-		px.DiskReads++
-		px.cache.Insert(in.ino, r.Off, n)
+		px.dev.Access(t, dataBase+r.Off, n, false, func() {
+			px.DiskReads++
+			px.cache.Insert(in.ino, r.Off, n)
+			step(i + 1)
+		})
 	}
-	if len(missing) > 0 {
-		// Time spent repairing the page-cache misses from disk.
-		px.cache.FillHist.Observe(px.env.Now().Sub(fillStart))
-	}
-	in.atime = px.env.Now()
-	return in.data.read(off, size), nil
+	step(0)
 }
 
-// Write implements FS. Writes are write-through: they reach the device
-// before returning (the paper's "Writes are always persistent").
-func (px *Posix) Write(p *sim.Proc, fd FD, off int64, data blob.Blob) (int64, error) {
-	sp := optrace.StartSpan(p, optrace.LayerPosix, "write")
-	defer sp.End(p)
+// Write implements FS.
+func (px *Posix) Write(t *sim.Task, fd FD, off int64, data blob.Blob, k func(int64, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerPosix, "write")
 	of, ok := px.fds[fd]
 	if !ok {
-		return 0, ErrBadFD
+		sp.End(t)
+		k(0, ErrBadFD)
+		return
 	}
 	in := of.ino
 	size := data.Len()
 	if size == 0 {
-		return 0, nil
+		sp.End(t)
+		k(0, nil)
+		return
 	}
-	px.dev.Access(p, in.base+metaRegion+off, size, true)
-	px.DiskWrites++
-	px.cache.Insert(in.ino, off, size)
-	in.data.write(off, data)
-	if off+size > in.size {
-		in.size = off + size
+	px.dev.Access(t, in.base+metaRegion+off, size, true, func() {
+		px.DiskWrites++
+		px.cache.Insert(in.ino, off, size)
+		in.data.write(off, data)
+		if off+size > in.size {
+			in.size = off + size
+		}
+		in.mtime = px.env.Now()
+		sp.End(t)
+		k(size, nil)
+	})
+}
+
+// posixStatOp is Stat's pooled frame for the existing-file path, replacing
+// the touchMeta continuation closure with a prebound method value. The
+// frame returns to the pool before k runs (release-before-continue); the
+// *Stat handed to k is freshly allocated — it escapes into the protocol
+// response, whose lifetime the storage xlator cannot see.
+type posixStatOp struct {
+	px   *Posix
+	t    *sim.Task
+	path string
+	in   *inode
+	sp   *optrace.Span
+	k    func(*Stat, error)
+
+	fnMeta func()
+}
+
+func (px *Posix) takeStatOp() *posixStatOp {
+	if n := len(px.statOps); n > 0 {
+		op := px.statOps[n-1]
+		px.statOps[n-1] = nil
+		px.statOps = px.statOps[:n-1]
+		return op
 	}
-	in.mtime = px.env.Now()
-	return size, nil
+	op := &posixStatOp{px: px}
+	op.fnMeta = op.meta
+	return op
+}
+
+func (op *posixStatOp) meta() {
+	px, t, sp, path, in, k := op.px, op.t, op.sp, op.path, op.in, op.k
+	op.t, op.path, op.in, op.sp, op.k = nil, "", nil, nil, nil
+	px.statOps = append(px.statOps, op)
+	sp.End(t)
+	k(&Stat{
+		Path: path, Ino: in.ino, Size: in.size,
+		Atime: in.atime, Mtime: in.mtime, Ctime: in.ctime,
+	}, nil)
 }
 
 // Stat implements FS.
-func (px *Posix) Stat(p *sim.Proc, path string) (*Stat, error) {
-	sp := optrace.StartSpan(p, optrace.LayerPosix, "stat")
-	defer sp.End(p)
+func (px *Posix) Stat(t *sim.Task, path string, k func(*Stat, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerPosix, "stat")
 	path = clean(path)
 	if _, ok := px.dirs[path]; ok {
-		return &Stat{Path: path, IsDir: true}, nil
+		sp.End(t)
+		k(&Stat{Path: path, IsDir: true}, nil)
+		return
 	}
 	in, ok := px.files[path]
 	if !ok {
-		return nil, ErrNotExist
+		sp.End(t)
+		k(nil, ErrNotExist)
+		return
 	}
-	px.touchMeta(p, in, false)
-	return &Stat{
-		Path: path, Ino: in.ino, Size: in.size,
-		Atime: in.atime, Mtime: in.mtime, Ctime: in.ctime,
-	}, nil
+	op := px.takeStatOp()
+	op.t, op.path, op.in, op.sp, op.k = t, path, in, sp, k
+	px.touchMeta(t, in, false, op.fnMeta)
+}
+
+// Mkdir implements FS (pure namespace work; no device access).
+func (px *Posix) Mkdir(t *sim.Task, path string, k func(error)) {
+	sp := optrace.StartSpan(t, optrace.LayerPosix, "mkdir")
+	path = clean(path)
+	if _, ok := px.files[path]; ok {
+		sp.End(t)
+		k(ErrExist)
+		return
+	}
+	if _, ok := px.dirs[path]; ok {
+		sp.End(t)
+		k(ErrExist)
+		return
+	}
+	px.ensureDir(path)
+	sp.End(t)
+	k(nil)
+}
+
+// Readdir implements FS (pure namespace work; no device access).
+func (px *Posix) Readdir(t *sim.Task, path string, k func([]string, error)) {
+	sp := optrace.StartSpan(t, optrace.LayerPosix, "readdir")
+	path = clean(path)
+	d, ok := px.dirs[path]
+	if !ok {
+		sp.End(t)
+		if _, isFile := px.files[path]; isFile {
+			k(nil, ErrNotDir)
+			return
+		}
+		k(nil, ErrNotExist)
+		return
+	}
+	names := make([]string, 0, len(d))
+	for n := range d {
+		names = append(names, n)
+	}
+	sort.Strings(names) // deterministic listing order
+	sp.End(t)
+	k(names, nil)
+}
+
+// Truncate implements FS.
+func (px *Posix) Truncate(t *sim.Task, path string, size int64, k func(error)) {
+	sp := optrace.StartSpan(t, optrace.LayerPosix, "truncate")
+	path = clean(path)
+	in, ok := px.files[path]
+	if !ok {
+		sp.End(t)
+		k(ErrNotExist)
+		return
+	}
+	in.data.truncate(size)
+	if size < in.size {
+		px.cache.InvalidateRange(in.ino, size, in.size-size)
+	}
+	in.size = size
+	in.mtime = px.env.Now()
+	px.touchMeta(t, in, true, func() {
+		sp.End(t)
+		k(nil)
+	})
 }
 
 // Unlink implements FS.
-func (px *Posix) Unlink(p *sim.Proc, path string) error {
-	sp := optrace.StartSpan(p, optrace.LayerPosix, "unlink")
-	defer sp.End(p)
+func (px *Posix) Unlink(t *sim.Task, path string, k func(error)) {
+	sp := optrace.StartSpan(t, optrace.LayerPosix, "unlink")
 	path = clean(path)
 	in, ok := px.files[path]
 	if !ok {
+		sp.End(t)
 		if _, isDir := px.dirs[path]; isDir {
-			return ErrIsDir
+			k(ErrIsDir)
+			return
 		}
-		return ErrNotExist
+		k(ErrNotExist)
+		return
 	}
 	dir, name := parentOf(path)
 	if d, ok := px.dirs[dir]; ok {
@@ -352,64 +494,9 @@ func (px *Posix) Unlink(p *sim.Proc, path string) error {
 	// The deallocation record is journaled like any metadata update.
 	off := px.journalOff
 	px.journalOff += metaRegion
-	px.dev.Access(p, journalBase+off, metaRegion, true)
-	px.DiskWrites++
-	return nil
+	px.dev.Access(t, journalBase+off, metaRegion, true, func() {
+		px.DiskWrites++
+		sp.End(t)
+		k(nil)
+	})
 }
-
-// Mkdir implements FS.
-func (px *Posix) Mkdir(p *sim.Proc, path string) error {
-	sp := optrace.StartSpan(p, optrace.LayerPosix, "mkdir")
-	defer sp.End(p)
-	path = clean(path)
-	if _, ok := px.files[path]; ok {
-		return ErrExist
-	}
-	if _, ok := px.dirs[path]; ok {
-		return ErrExist
-	}
-	px.ensureDir(path)
-	return nil
-}
-
-// Readdir implements FS.
-func (px *Posix) Readdir(p *sim.Proc, path string) ([]string, error) {
-	sp := optrace.StartSpan(p, optrace.LayerPosix, "readdir")
-	defer sp.End(p)
-	path = clean(path)
-	d, ok := px.dirs[path]
-	if !ok {
-		if _, isFile := px.files[path]; isFile {
-			return nil, ErrNotDir
-		}
-		return nil, ErrNotExist
-	}
-	names := make([]string, 0, len(d))
-	for n := range d {
-		names = append(names, n)
-	}
-	sort.Strings(names) // deterministic listing order
-	return names, nil
-}
-
-// Truncate implements FS.
-func (px *Posix) Truncate(p *sim.Proc, path string, size int64) error {
-	sp := optrace.StartSpan(p, optrace.LayerPosix, "truncate")
-	defer sp.End(p)
-	path = clean(path)
-	in, ok := px.files[path]
-	if !ok {
-		return ErrNotExist
-	}
-	in.data.truncate(size)
-	if size < in.size {
-		px.cache.InvalidateRange(in.ino, size, in.size-size)
-	}
-	in.size = size
-	in.mtime = px.env.Now()
-	px.touchMeta(p, in, true)
-	return nil
-}
-
-// FileCount returns the number of regular files (for tests).
-func (px *Posix) FileCount() int { return len(px.files) }

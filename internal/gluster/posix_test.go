@@ -16,6 +16,9 @@ func newPosix(env *sim.Env, cacheBytes int64) *Posix {
 	return NewPosix(env, PosixConfig{Dev: dev, CacheBytes: cacheBytes})
 }
 
+// blocking is the Sync facade over fs, for sequential test scripts.
+func blocking(fs FS) Sync { return Sync{FS: fs} }
+
 // inProc runs fn inside a simulated process and completes the simulation.
 func inProc(t *testing.T, env *sim.Env, fn func(p *sim.Proc)) {
 	t.Helper()
@@ -27,23 +30,23 @@ func TestPosixCreateWriteReadBack(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
 	inProc(t, env, func(p *sim.Proc) {
-		fd, err := px.Create(p, "/dir/file")
+		fd, err := blocking(px).Create(p, "/dir/file")
 		if err != nil {
 			t.Fatal(err)
 		}
 		payload := blob.FromString("hello posix")
-		n, err := px.Write(p, fd, 0, payload)
+		n, err := blocking(px).Write(p, fd, 0, payload)
 		if err != nil || n != payload.Len() {
 			t.Fatalf("write = %d, %v", n, err)
 		}
-		got, err := px.Read(p, fd, 0, payload.Len())
+		got, err := blocking(px).Read(p, fd, 0, payload.Len())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(payload) {
 			t.Errorf("read back %q, want %q", got.Bytes(), payload.Bytes())
 		}
-		if err := px.Close(p, fd); err != nil {
+		if err := blocking(px).Close(p, fd); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -53,7 +56,7 @@ func TestPosixOpenNonexistent(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
 	inProc(t, env, func(p *sim.Proc) {
-		if _, err := px.Open(p, "/missing"); err != ErrNotExist {
+		if _, err := blocking(px).Open(p, "/missing"); err != ErrNotExist {
 			t.Errorf("err = %v, want ErrNotExist", err)
 		}
 	})
@@ -63,8 +66,8 @@ func TestPosixCreateExisting(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
 	inProc(t, env, func(p *sim.Proc) {
-		px.Create(p, "/f")
-		if _, err := px.Create(p, "/f"); err != ErrExist {
+		blocking(px).Create(p, "/f")
+		if _, err := blocking(px).Create(p, "/f"); err != ErrExist {
 			t.Errorf("err = %v, want ErrExist", err)
 		}
 	})
@@ -74,16 +77,16 @@ func TestPosixReadPastEOFShortens(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
 	inProc(t, env, func(p *sim.Proc) {
-		fd, _ := px.Create(p, "/f")
-		px.Write(p, fd, 0, blob.FromString("12345"))
-		got, err := px.Read(p, fd, 3, 100)
+		fd, _ := blocking(px).Create(p, "/f")
+		blocking(px).Write(p, fd, 0, blob.FromString("12345"))
+		got, err := blocking(px).Read(p, fd, 3, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(got.Bytes()) != "45" {
 			t.Errorf("read = %q, want 45", got.Bytes())
 		}
-		empty, err := px.Read(p, fd, 5, 10)
+		empty, err := blocking(px).Read(p, fd, 5, 10)
 		if err != nil || empty.Len() != 0 {
 			t.Errorf("read at EOF = %d bytes, %v", empty.Len(), err)
 		}
@@ -94,9 +97,9 @@ func TestPosixHolesReadAsZeros(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
 	inProc(t, env, func(p *sim.Proc) {
-		fd, _ := px.Create(p, "/sparse")
-		px.Write(p, fd, 100, blob.FromString("x"))
-		got, _ := px.Read(p, fd, 0, 101)
+		fd, _ := blocking(px).Create(p, "/sparse")
+		blocking(px).Write(p, fd, 100, blob.FromString("x"))
+		got, _ := blocking(px).Read(p, fd, 0, 101)
 		b := got.Bytes()
 		for i := 0; i < 100; i++ {
 			if b[i] != 0 {
@@ -113,14 +116,14 @@ func TestPosixStatReflectsWrites(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
 	inProc(t, env, func(p *sim.Proc) {
-		fd, _ := px.Create(p, "/f")
-		st0, err := px.Stat(p, "/f")
+		fd, _ := blocking(px).Create(p, "/f")
+		st0, err := blocking(px).Stat(p, "/f")
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.Sleep(time.Second)
-		px.Write(p, fd, 0, blob.Synthetic(1, 0, 12345))
-		st1, _ := px.Stat(p, "/f")
+		blocking(px).Write(p, fd, 0, blob.Synthetic(1, 0, 12345))
+		st1, _ := blocking(px).Stat(p, "/f")
 		if st1.Size != 12345 {
 			t.Errorf("size = %d, want 12345", st1.Size)
 		}
@@ -138,16 +141,16 @@ func TestPosixColdReadHitsDiskWarmDoesNot(t *testing.T) {
 	dev := disk.New(env, disk.Params{SeekTime: 5 * time.Millisecond, TransferRate: 100e6})
 	px := NewPosix(env, PosixConfig{Dev: dev, CacheBytes: 64 << 20})
 	inProc(t, env, func(p *sim.Proc) {
-		fd, _ := px.Create(p, "/f")
-		px.Write(p, fd, 0, blob.Synthetic(1, 0, 1<<20))
+		fd, _ := blocking(px).Create(p, "/f")
+		blocking(px).Write(p, fd, 0, blob.Synthetic(1, 0, 1<<20))
 		px.Cache().Clear() // cold cache
 
 		start := p.Now()
-		px.Read(p, fd, 0, 1<<20)
+		blocking(px).Read(p, fd, 0, 1<<20)
 		cold := p.Now().Sub(start)
 
 		start = p.Now()
-		px.Read(p, fd, 0, 1<<20)
+		blocking(px).Read(p, fd, 0, 1<<20)
 		warm := p.Now().Sub(start)
 
 		if cold < 5*time.Millisecond {
@@ -165,10 +168,10 @@ func TestPosixCacheEvictionForcesDisk(t *testing.T) {
 	// Cache holds only 1MB; the file is 4MB.
 	px := NewPosix(env, PosixConfig{Dev: dev, CacheBytes: 1 << 20})
 	inProc(t, env, func(p *sim.Proc) {
-		fd, _ := px.Create(p, "/big")
-		px.Write(p, fd, 0, blob.Synthetic(1, 0, 4<<20))
+		fd, _ := blocking(px).Create(p, "/big")
+		blocking(px).Write(p, fd, 0, blob.Synthetic(1, 0, 4<<20))
 		reads0 := px.DiskReads
-		px.Read(p, fd, 0, 4<<20) // cannot be fully cached
+		blocking(px).Read(p, fd, 0, 4<<20) // cannot be fully cached
 		if px.DiskReads == reads0 {
 			t.Error("4MB read through a 1MB cache hit no disk")
 		}
@@ -179,19 +182,19 @@ func TestPosixUnlink(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
 	inProc(t, env, func(p *sim.Proc) {
-		fd, _ := px.Create(p, "/dir/f")
-		px.Write(p, fd, 0, blob.FromString("data"))
-		px.Close(p, fd)
-		if err := px.Unlink(p, "/dir/f"); err != nil {
+		fd, _ := blocking(px).Create(p, "/dir/f")
+		blocking(px).Write(p, fd, 0, blob.FromString("data"))
+		blocking(px).Close(p, fd)
+		if err := blocking(px).Unlink(p, "/dir/f"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := px.Stat(p, "/dir/f"); err != ErrNotExist {
+		if _, err := blocking(px).Stat(p, "/dir/f"); err != ErrNotExist {
 			t.Errorf("stat after unlink = %v", err)
 		}
-		if err := px.Unlink(p, "/dir/f"); err != ErrNotExist {
+		if err := blocking(px).Unlink(p, "/dir/f"); err != ErrNotExist {
 			t.Errorf("second unlink = %v", err)
 		}
-		names, _ := px.Readdir(p, "/dir")
+		names, _ := blocking(px).Readdir(p, "/dir")
 		if len(names) != 0 {
 			t.Errorf("dir still lists %v", names)
 		}
@@ -202,20 +205,20 @@ func TestPosixMkdirReaddir(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
 	inProc(t, env, func(p *sim.Proc) {
-		px.Mkdir(p, "/a/b")
-		px.Create(p, "/a/b/one")
-		px.Create(p, "/a/b/two")
-		names, err := px.Readdir(p, "/a/b")
+		blocking(px).Mkdir(p, "/a/b")
+		blocking(px).Create(p, "/a/b/one")
+		blocking(px).Create(p, "/a/b/two")
+		names, err := blocking(px).Readdir(p, "/a/b")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(names) != 2 || names[0] != "one" || names[1] != "two" {
 			t.Errorf("readdir = %v", names)
 		}
-		if _, err := px.Readdir(p, "/a/b/one"); err != ErrNotDir {
+		if _, err := blocking(px).Readdir(p, "/a/b/one"); err != ErrNotDir {
 			t.Errorf("readdir on file = %v", err)
 		}
-		st, _ := px.Stat(p, "/a")
+		st, _ := blocking(px).Stat(p, "/a")
 		if !st.IsDir {
 			t.Error("/a not a directory")
 		}
@@ -226,14 +229,14 @@ func TestPosixTruncate(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
 	inProc(t, env, func(p *sim.Proc) {
-		fd, _ := px.Create(p, "/f")
-		px.Write(p, fd, 0, blob.FromString("0123456789"))
-		px.Truncate(p, "/f", 4)
-		st, _ := px.Stat(p, "/f")
+		fd, _ := blocking(px).Create(p, "/f")
+		blocking(px).Write(p, fd, 0, blob.FromString("0123456789"))
+		blocking(px).Truncate(p, "/f", 4)
+		st, _ := blocking(px).Stat(p, "/f")
 		if st.Size != 4 {
 			t.Errorf("size = %d, want 4", st.Size)
 		}
-		got, _ := px.Read(p, fd, 0, 10)
+		got, _ := blocking(px).Read(p, fd, 0, 10)
 		if string(got.Bytes()) != "0123" {
 			t.Errorf("read = %q", got.Bytes())
 		}
@@ -244,15 +247,15 @@ func TestPosixOverlappingWrites(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
 	inProc(t, env, func(p *sim.Proc) {
-		fd, _ := px.Create(p, "/f")
-		px.Write(p, fd, 0, blob.FromString("aaaaaaaaaa"))
-		px.Write(p, fd, 3, blob.FromString("bbb"))
-		px.Write(p, fd, 8, blob.FromString("cccc"))
-		got, _ := px.Read(p, fd, 0, 12)
+		fd, _ := blocking(px).Create(p, "/f")
+		blocking(px).Write(p, fd, 0, blob.FromString("aaaaaaaaaa"))
+		blocking(px).Write(p, fd, 3, blob.FromString("bbb"))
+		blocking(px).Write(p, fd, 8, blob.FromString("cccc"))
+		got, _ := blocking(px).Read(p, fd, 0, 12)
 		if string(got.Bytes()) != "aaabbbaacccc" {
 			t.Errorf("read = %q, want aaabbbaacccc", got.Bytes())
 		}
-		st, _ := px.Stat(p, "/f")
+		st, _ := blocking(px).Stat(p, "/f")
 		if st.Size != 12 {
 			t.Errorf("size = %d, want 12", st.Size)
 		}
@@ -263,9 +266,9 @@ func TestPosixSequentialWritesCoalesceExtents(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
 	inProc(t, env, func(p *sim.Proc) {
-		fd, _ := px.Create(p, "/seq")
+		fd, _ := blocking(px).Create(p, "/seq")
 		for i := int64(0); i < 64; i++ {
-			px.Write(p, fd, i*2048, blob.Synthetic(7, i*2048, 2048))
+			blocking(px).Write(p, fd, i*2048, blob.Synthetic(7, i*2048, 2048))
 		}
 	})
 	in := px.files["/seq"]
@@ -278,13 +281,13 @@ func TestPosixBadFD(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
 	inProc(t, env, func(p *sim.Proc) {
-		if _, err := px.Read(p, 999, 0, 10); err != ErrBadFD {
+		if _, err := blocking(px).Read(p, 999, 0, 10); err != ErrBadFD {
 			t.Errorf("read err = %v", err)
 		}
-		if _, err := px.Write(p, 999, 0, blob.FromString("x")); err != ErrBadFD {
+		if _, err := blocking(px).Write(p, 999, 0, blob.FromString("x")); err != ErrBadFD {
 			t.Errorf("write err = %v", err)
 		}
-		if err := px.Close(p, 999); err != ErrBadFD {
+		if err := blocking(px).Close(p, 999); err != ErrBadFD {
 			t.Errorf("close err = %v", err)
 		}
 	})

@@ -37,22 +37,22 @@ func newTestVolume(t *testing.T) *testVolume {
 func TestProtocolEndToEndReadWrite(t *testing.T) {
 	v := newTestVolume(t)
 	v.env.Process("client", func(p *sim.Proc) {
-		fd, err := v.client.Create(p, "/data/file1")
+		fd, err := blocking(v.client).Create(p, "/data/file1")
 		if err != nil {
 			t.Fatal(err)
 		}
 		payload := blob.Synthetic(5, 0, 64<<10)
-		if _, err := v.client.Write(p, fd, 0, payload); err != nil {
+		if _, err := blocking(v.client).Write(p, fd, 0, payload); err != nil {
 			t.Fatal(err)
 		}
-		got, err := v.client.Read(p, fd, 0, 64<<10)
+		got, err := blocking(v.client).Read(p, fd, 0, 64<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(payload) {
 			t.Error("remote read returned wrong data")
 		}
-		if err := v.client.Close(p, fd); err != nil {
+		if err := blocking(v.client).Close(p, fd); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -65,14 +65,14 @@ func TestProtocolEndToEndReadWrite(t *testing.T) {
 func TestProtocolErrorsCrossTheWire(t *testing.T) {
 	v := newTestVolume(t)
 	v.env.Process("client", func(p *sim.Proc) {
-		if _, err := v.client.Open(p, "/no/such"); err != ErrNotExist {
+		if _, err := blocking(v.client).Open(p, "/no/such"); err != ErrNotExist {
 			t.Errorf("open err = %v, want ErrNotExist", err)
 		}
-		v.client.Create(p, "/f")
-		if _, err := v.client.Create(p, "/f"); err != ErrExist {
+		blocking(v.client).Create(p, "/f")
+		if _, err := blocking(v.client).Create(p, "/f"); err != ErrExist {
 			t.Errorf("create err = %v, want ErrExist", err)
 		}
-		if err := v.client.Close(p, 424242); err != ErrBadFD {
+		if err := blocking(v.client).Close(p, 424242); err != ErrBadFD {
 			t.Errorf("close err = %v, want ErrBadFD", err)
 		}
 	})
@@ -82,20 +82,20 @@ func TestProtocolErrorsCrossTheWire(t *testing.T) {
 func TestProtocolStatAndReaddir(t *testing.T) {
 	v := newTestVolume(t)
 	v.env.Process("client", func(p *sim.Proc) {
-		fd, _ := v.client.Create(p, "/d/file")
-		v.client.Write(p, fd, 0, blob.Synthetic(1, 0, 1000))
-		st, err := v.client.Stat(p, "/d/file")
+		fd, _ := blocking(v.client).Create(p, "/d/file")
+		blocking(v.client).Write(p, fd, 0, blob.Synthetic(1, 0, 1000))
+		st, err := blocking(v.client).Stat(p, "/d/file")
 		if err != nil || st.Size != 1000 {
 			t.Errorf("stat = %+v, %v", st, err)
 		}
-		names, err := v.client.Readdir(p, "/d")
+		names, err := blocking(v.client).Readdir(p, "/d")
 		if err != nil || len(names) != 1 || names[0] != "file" {
 			t.Errorf("readdir = %v, %v", names, err)
 		}
-		if err := v.client.Unlink(p, "/d/file"); err != nil {
+		if err := blocking(v.client).Unlink(p, "/d/file"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := v.client.Stat(p, "/d/file"); err != ErrNotExist {
+		if _, err := blocking(v.client).Stat(p, "/d/file"); err != ErrNotExist {
 			t.Errorf("stat after unlink = %v", err)
 		}
 	})
@@ -106,9 +106,9 @@ func TestProtocolOpTakesNetworkTime(t *testing.T) {
 	v := newTestVolume(t)
 	var statTime sim.Duration
 	v.env.Process("client", func(p *sim.Proc) {
-		v.client.Create(p, "/f")
+		blocking(v.client).Create(p, "/f")
 		start := p.Now()
-		v.client.Stat(p, "/f")
+		blocking(v.client).Stat(p, "/f")
 		statTime = p.Now().Sub(start)
 	})
 	v.env.Run()
@@ -136,8 +136,8 @@ func TestProtocolIOThreadsThrottleConcurrency(t *testing.T) {
 		var fds []FD
 		env.Process("setup", func(p *sim.Proc) {
 			for i := 0; i < 2; i++ {
-				fd, _ := setupCli.Create(p, fmt.Sprintf("/f%d", i))
-				setupCli.Write(p, fd, 0, blob.Synthetic(uint64(i+1), 0, 1<<20))
+				fd, _ := blocking(setupCli).Create(p, fmt.Sprintf("/f%d", i))
+				blocking(setupCli).Write(p, fd, 0, blob.Synthetic(uint64(i+1), 0, 1<<20))
 				fds = append(fds, fd)
 			}
 		})
@@ -151,7 +151,7 @@ func TestProtocolIOThreadsThrottleConcurrency(t *testing.T) {
 			cli := NewClient(node, srvNode)
 			i := i
 			env.Process("reader", func(p *sim.Proc) {
-				cli.Read(p, fds[i], 0, 1<<20)
+				blocking(cli).Read(p, fds[i], 0, 1<<20)
 				if p.Now() > finish {
 					finish = p.Now()
 				}
@@ -179,12 +179,12 @@ func TestDistributeSpreadsFilesAcrossBricks(t *testing.T) {
 	env.Process("t", func(p *sim.Proc) {
 		for i := 0; i < 40; i++ {
 			path := fmt.Sprintf("/spread/file-%d", i)
-			fd, err := dht.Create(p, path)
+			fd, err := blocking(dht).Create(p, path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dht.Write(p, fd, 0, blob.FromString("x"))
-			dht.Close(p, fd)
+			blocking(dht).Write(p, fd, 0, blob.FromString("x"))
+			blocking(dht).Close(p, fd)
 		}
 	})
 	env.Run()
@@ -206,24 +206,24 @@ func TestDistributeRoutesFDOps(t *testing.T) {
 	env.Process("t", func(p *sim.Proc) {
 		for i := 0; i < 12; i++ {
 			path := fmt.Sprintf("/r/f%d", i)
-			fd, _ := dht.Create(p, path)
+			fd, _ := blocking(dht).Create(p, path)
 			payload := blob.Synthetic(uint64(i+1), 0, 100)
-			dht.Write(p, fd, 0, payload)
-			got, err := dht.Read(p, fd, 0, 100)
+			blocking(dht).Write(p, fd, 0, payload)
+			got, err := blocking(dht).Read(p, fd, 0, 100)
 			if err != nil || !got.Equal(payload) {
 				t.Fatalf("file %d read mismatch: %v", i, err)
 			}
 			// Reopen by path and re-read.
-			dht.Close(p, fd)
-			fd2, err := dht.Open(p, path)
+			blocking(dht).Close(p, fd)
+			fd2, err := blocking(dht).Open(p, path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _ = dht.Read(p, fd2, 0, 100)
+			got, _ = blocking(dht).Read(p, fd2, 0, 100)
 			if !got.Equal(payload) {
 				t.Fatalf("file %d reopen read mismatch", i)
 			}
-			dht.Close(p, fd2)
+			blocking(dht).Close(p, fd2)
 		}
 	})
 	env.Run()
@@ -237,12 +237,12 @@ func TestDistributeReaddirMerges(t *testing.T) {
 	}
 	dht := NewDistribute(mk(), mk())
 	env.Process("t", func(p *sim.Proc) {
-		dht.Mkdir(p, "/m")
+		blocking(dht).Mkdir(p, "/m")
 		for i := 0; i < 10; i++ {
-			fd, _ := dht.Create(p, fmt.Sprintf("/m/f%d", i))
-			dht.Close(p, fd)
+			fd, _ := blocking(dht).Create(p, fmt.Sprintf("/m/f%d", i))
+			blocking(dht).Close(p, fd)
 		}
-		names, err := dht.Readdir(p, "/m")
+		names, err := blocking(dht).Readdir(p, "/m")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,13 +266,13 @@ func TestFuseAddsClientCPUCost(t *testing.T) {
 
 	var rawTime, fusedTime sim.Duration
 	env.Process("t", func(p *sim.Proc) {
-		fd, _ := raw.Create(p, "/f")
-		raw.Write(p, fd, 0, blob.Synthetic(1, 0, 4096))
+		fd, _ := blocking(raw).Create(p, "/f")
+		blocking(raw).Write(p, fd, 0, blob.Synthetic(1, 0, 4096))
 		start := p.Now()
-		raw.Stat(p, "/f")
+		blocking(raw).Stat(p, "/f")
 		rawTime = p.Now().Sub(start)
 		start = p.Now()
-		fused.Stat(p, "/f")
+		blocking(fused).Stat(p, "/f")
 		fusedTime = p.Now().Sub(start)
 	})
 	env.Run()

@@ -41,100 +41,117 @@ func NewReadAhead(child FS, windowSize int64) *ReadAhead {
 }
 
 // Create implements FS.
-func (ra *ReadAhead) Create(p *sim.Proc, path string) (FD, error) {
-	fd, err := ra.child.Create(p, path)
-	if err == nil {
-		ra.files[fd] = &raState{}
-	}
-	return fd, err
+func (ra *ReadAhead) Create(t *sim.Task, path string, k func(FD, error)) {
+	ra.child.Create(t, path, func(fd FD, err error) {
+		if err == nil {
+			ra.files[fd] = &raState{}
+		}
+		k(fd, err)
+	})
 }
 
 // Open implements FS.
-func (ra *ReadAhead) Open(p *sim.Proc, path string) (FD, error) {
-	fd, err := ra.child.Open(p, path)
-	if err == nil {
-		ra.files[fd] = &raState{}
-	}
-	return fd, err
+func (ra *ReadAhead) Open(t *sim.Task, path string, k func(FD, error)) {
+	ra.child.Open(t, path, func(fd FD, err error) {
+		if err == nil {
+			ra.files[fd] = &raState{}
+		}
+		k(fd, err)
+	})
 }
 
 // Close implements FS.
-func (ra *ReadAhead) Close(p *sim.Proc, fd FD) error {
+func (ra *ReadAhead) Close(t *sim.Task, fd FD, k func(error)) {
 	delete(ra.files, fd)
-	return ra.child.Close(p, fd)
+	ra.child.Close(t, fd, k)
 }
 
 // Read implements FS. Sequential patterns trigger prefetch; random reads
 // pass through untouched.
-func (ra *ReadAhead) Read(p *sim.Proc, fd FD, off, size int64) (blob.Blob, error) {
+func (ra *ReadAhead) Read(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, error)) {
 	st, tracked := ra.files[fd]
 	if !tracked || size <= 0 {
-		return ra.child.Read(p, fd, off, size)
+		ra.child.Read(t, fd, off, size, k)
+		return
 	}
 
-	// Serve fully from the window when possible.
+	// Served entirely from the prefetched window?
 	if off >= st.winOff && off+size <= st.winOff+st.win.Len() {
 		ra.ServedFromRA += size
 		st.nextOff = off + size
-		return st.win.Slice(off-st.winOff, off-st.winOff+size), nil
+		k(st.win.Slice(off-st.winOff, off-st.winOff+size), nil)
+		return
 	}
 
 	sequential := off == st.nextOff
 	st.nextOff = off + size
 	if !sequential {
 		st.seq = false
-		return ra.child.Read(p, fd, off, size)
+		ra.child.Read(t, fd, off, size, k)
+		return
 	}
 	if !st.seq {
-		// First sequential hit arms the prefetcher; fetch plain once.
+		// Second sequential read in a row: start prefetching next time.
 		st.seq = true
-		return ra.child.Read(p, fd, off, size)
+		ra.child.Read(t, fd, off, size, k)
+		return
 	}
 
-	// Confirmed sequential: fetch request + window.
-	data, err := ra.child.Read(p, fd, off, size+ra.windowSize)
-	if err != nil {
-		return blob.Blob{}, err
-	}
-	if data.Len() > size {
-		st.winOff = off
-		st.win = data
-		ra.PrefetchedBytes += data.Len() - size
-	}
-	if data.Len() >= size {
-		return data.Slice(0, size), nil
-	}
-	return data, nil
+	// Sequential stream: fetch the request plus one window in a single
+	// child read, serve the head, keep the tail.
+	ra.child.Read(t, fd, off, size+ra.windowSize, func(data blob.Blob, err error) {
+		if err != nil {
+			k(blob.Blob{}, err)
+			return
+		}
+		if data.Len() > size {
+			st.winOff = off
+			st.win = data
+			ra.PrefetchedBytes += data.Len() - size
+		}
+		if data.Len() >= size {
+			k(data.Slice(0, size), nil)
+			return
+		}
+		k(data, nil)
+	})
 }
 
 // Write implements FS, invalidating any window overlapping the write.
-func (ra *ReadAhead) Write(p *sim.Proc, fd FD, off int64, data blob.Blob) (int64, error) {
+func (ra *ReadAhead) Write(t *sim.Task, fd FD, off int64, data blob.Blob, k func(int64, error)) {
 	if st, ok := ra.files[fd]; ok {
+		// Invalidate any overlapping window.
 		if off < st.winOff+st.win.Len() && off+data.Len() > st.winOff {
 			st.win = blob.Blob{}
 		}
 	}
-	return ra.child.Write(p, fd, off, data)
+	ra.child.Write(t, fd, off, data, k)
 }
 
 // Stat implements FS.
-func (ra *ReadAhead) Stat(p *sim.Proc, path string) (*Stat, error) { return ra.child.Stat(p, path) }
+func (ra *ReadAhead) Stat(t *sim.Task, path string, k func(*Stat, error)) {
+	ra.child.Stat(t, path, k)
+}
 
 // Unlink implements FS.
-func (ra *ReadAhead) Unlink(p *sim.Proc, path string) error { return ra.child.Unlink(p, path) }
+func (ra *ReadAhead) Unlink(t *sim.Task, path string, k func(error)) {
+	ra.child.Unlink(t, path, k)
+}
 
 // Mkdir implements FS.
-func (ra *ReadAhead) Mkdir(p *sim.Proc, path string) error { return ra.child.Mkdir(p, path) }
+func (ra *ReadAhead) Mkdir(t *sim.Task, path string, k func(error)) {
+	ra.child.Mkdir(t, path, k)
+}
 
 // Readdir implements FS.
-func (ra *ReadAhead) Readdir(p *sim.Proc, path string) ([]string, error) {
-	return ra.child.Readdir(p, path)
+func (ra *ReadAhead) Readdir(t *sim.Task, path string, k func([]string, error)) {
+	ra.child.Readdir(t, path, k)
 }
 
 // Truncate implements FS.
-func (ra *ReadAhead) Truncate(p *sim.Proc, path string, size int64) error {
+func (ra *ReadAhead) Truncate(t *sim.Task, path string, size int64, k func(error)) {
 	for _, st := range ra.files {
 		st.win = blob.Blob{}
 	}
-	return ra.child.Truncate(p, path, size)
+	ra.child.Truncate(t, path, size, k)
 }

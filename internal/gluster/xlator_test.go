@@ -16,11 +16,12 @@ type countingFS struct {
 	ReadBytes int64
 }
 
-func (c *countingFS) Read(p *sim.Proc, fd FD, off, size int64) (blob.Blob, error) {
+func (c *countingFS) Read(t *sim.Task, fd FD, off, size int64, k func(blob.Blob, error)) {
 	c.Reads++
-	data, err := c.FS.Read(p, fd, off, size)
-	c.ReadBytes += data.Len()
-	return data, err
+	c.FS.Read(t, fd, off, size, func(data blob.Blob, err error) {
+		c.ReadBytes += data.Len()
+		k(data, err)
+	})
 }
 
 func TestReadAheadServesSequentialFromWindow(t *testing.T) {
@@ -29,12 +30,12 @@ func TestReadAheadServesSequentialFromWindow(t *testing.T) {
 	counter := &countingFS{FS: px}
 	ra := NewReadAhead(counter, 64<<10)
 	env.Process("t", func(p *sim.Proc) {
-		fd, _ := ra.Create(p, "/seq")
-		ra.Write(p, fd, 0, blob.Synthetic(1, 0, 256<<10))
+		fd, _ := blocking(ra).Create(p, "/seq")
+		blocking(ra).Write(p, fd, 0, blob.Synthetic(1, 0, 256<<10))
 		// Sequential 4K reads.
 		counter.Reads = 0
 		for off := int64(0); off < 128<<10; off += 4096 {
-			data, err := ra.Read(p, fd, off, 4096)
+			data, err := blocking(ra).Read(p, fd, off, 4096)
 			if err != nil || !data.Equal(blob.Synthetic(1, off, 4096)) {
 				t.Fatalf("read at %d wrong: %v", off, err)
 			}
@@ -56,13 +57,13 @@ func TestReadAheadRandomPatternPassesThrough(t *testing.T) {
 	counter := &countingFS{FS: px}
 	ra := NewReadAhead(counter, 64<<10)
 	env.Process("t", func(p *sim.Proc) {
-		fd, _ := ra.Create(p, "/rand")
-		ra.Write(p, fd, 0, blob.Synthetic(2, 0, 256<<10))
+		fd, _ := blocking(ra).Create(p, "/rand")
+		blocking(ra).Write(p, fd, 0, blob.Synthetic(2, 0, 256<<10))
 		counter.Reads = 0
 		counter.ReadBytes = 0
 		offs := []int64{100 << 10, 0, 200 << 10, 50 << 10, 150 << 10}
 		for _, off := range offs {
-			data, err := ra.Read(p, fd, off, 4096)
+			data, err := blocking(ra).Read(p, fd, off, 4096)
 			if err != nil || !data.Equal(blob.Synthetic(2, off, 4096)) {
 				t.Fatalf("random read at %d wrong", off)
 			}
@@ -82,15 +83,15 @@ func TestReadAheadWriteInvalidatesWindow(t *testing.T) {
 	px := newPosix(env, 64<<20)
 	ra := NewReadAhead(px, 64<<10)
 	env.Process("t", func(p *sim.Proc) {
-		fd, _ := ra.Create(p, "/wi")
-		ra.Write(p, fd, 0, blob.Synthetic(3, 0, 128<<10))
+		fd, _ := blocking(ra).Create(p, "/wi")
+		blocking(ra).Write(p, fd, 0, blob.Synthetic(3, 0, 128<<10))
 		// Arm the prefetcher and load a window.
-		ra.Read(p, fd, 0, 4096)
-		ra.Read(p, fd, 4096, 4096)
-		ra.Read(p, fd, 8192, 4096)
+		blocking(ra).Read(p, fd, 0, 4096)
+		blocking(ra).Read(p, fd, 4096, 4096)
+		blocking(ra).Read(p, fd, 8192, 4096)
 		// Overwrite inside the window, then re-read: must see new data.
-		ra.Write(p, fd, 12<<10, blob.FromString("fresh!"))
-		got, _ := ra.Read(p, fd, 12<<10, 6)
+		blocking(ra).Write(p, fd, 12<<10, blob.FromString("fresh!"))
+		got, _ := blocking(ra).Read(p, fd, 12<<10, 6)
 		if string(got.Bytes()) != "fresh!" {
 			t.Errorf("stale window served %q after overlapping write", got.Bytes())
 		}
@@ -103,12 +104,12 @@ func TestReadAheadEOFWindow(t *testing.T) {
 	px := newPosix(env, 64<<20)
 	ra := NewReadAhead(px, 64<<10)
 	env.Process("t", func(p *sim.Proc) {
-		fd, _ := ra.Create(p, "/short")
-		ra.Write(p, fd, 0, blob.Synthetic(4, 0, 10<<10))
+		fd, _ := blocking(ra).Create(p, "/short")
+		blocking(ra).Write(p, fd, 0, blob.Synthetic(4, 0, 10<<10))
 		// Sequential reads walking past EOF.
 		var got int64
 		for off := int64(0); off < 20<<10; off += 4096 {
-			data, err := ra.Read(p, fd, off, 4096)
+			data, err := blocking(ra).Read(p, fd, off, 4096)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,11 +128,11 @@ func TestWriteBehindAggregatesSequentialWrites(t *testing.T) {
 	counter := &countingWriteFS{FS: px}
 	wb := NewWriteBehind(counter, 64<<10)
 	env.Process("t", func(p *sim.Proc) {
-		fd, _ := wb.Create(p, "/agg")
+		fd, _ := blocking(wb).Create(p, "/agg")
 		for i := int64(0); i < 32; i++ {
-			wb.Write(p, fd, i*2048, blob.Synthetic(1, i*2048, 2048))
+			blocking(wb).Write(p, fd, i*2048, blob.Synthetic(1, i*2048, 2048))
 		}
-		wb.Close(p, fd) // flush remainder
+		blocking(wb).Close(p, fd) // flush remainder
 	})
 	env.Run()
 	if counter.Writes >= 32 {
@@ -147,9 +148,9 @@ type countingWriteFS struct {
 	Writes int
 }
 
-func (c *countingWriteFS) Write(p *sim.Proc, fd FD, off int64, data blob.Blob) (int64, error) {
+func (c *countingWriteFS) Write(t *sim.Task, fd FD, off int64, data blob.Blob, k func(int64, error)) {
 	c.Writes++
-	return c.FS.Write(p, fd, off, data)
+	c.FS.Write(t, fd, off, data, k)
 }
 
 func TestWriteBehindReadSeesOwnWrites(t *testing.T) {
@@ -157,9 +158,9 @@ func TestWriteBehindReadSeesOwnWrites(t *testing.T) {
 	px := newPosix(env, 64<<20)
 	wb := NewWriteBehind(px, 1<<20)
 	env.Process("t", func(p *sim.Proc) {
-		fd, _ := wb.Create(p, "/own")
-		wb.Write(p, fd, 0, blob.FromString("buffered"))
-		got, err := wb.Read(p, fd, 0, 8)
+		fd, _ := blocking(wb).Create(p, "/own")
+		blocking(wb).Write(p, fd, 0, blob.FromString("buffered"))
+		got, err := blocking(wb).Read(p, fd, 0, 8)
 		if err != nil || string(got.Bytes()) != "buffered" {
 			t.Errorf("read after buffered write = %q, %v", got.Bytes(), err)
 		}
@@ -172,9 +173,9 @@ func TestWriteBehindStatSeesFlushedSize(t *testing.T) {
 	px := newPosix(env, 64<<20)
 	wb := NewWriteBehind(px, 1<<20)
 	env.Process("t", func(p *sim.Proc) {
-		fd, _ := wb.Create(p, "/sz")
-		wb.Write(p, fd, 0, blob.Synthetic(1, 0, 3000))
-		st, err := wb.Stat(p, "/sz")
+		fd, _ := blocking(wb).Create(p, "/sz")
+		blocking(wb).Write(p, fd, 0, blob.Synthetic(1, 0, 3000))
+		st, err := blocking(wb).Stat(p, "/sz")
 		if err != nil || st.Size != 3000 {
 			t.Errorf("stat size = %d, %v; want 3000", st.Size, err)
 		}
@@ -188,11 +189,11 @@ func TestWriteBehindNonContiguousFlushes(t *testing.T) {
 	counter := &countingWriteFS{FS: px}
 	wb := NewWriteBehind(counter, 1<<20)
 	env.Process("t", func(p *sim.Proc) {
-		fd, _ := wb.Create(p, "/nc")
-		wb.Write(p, fd, 0, blob.FromString("aaaa"))
-		wb.Write(p, fd, 100, blob.FromString("bbbb")) // gap: flushes first run
-		wb.Close(p, fd)
-		got, _ := px.Read(p, mustOpen(t, p, px, "/nc"), 0, 104)
+		fd, _ := blocking(wb).Create(p, "/nc")
+		blocking(wb).Write(p, fd, 0, blob.FromString("aaaa"))
+		blocking(wb).Write(p, fd, 100, blob.FromString("bbbb")) // gap: flushes first run
+		blocking(wb).Close(p, fd)
+		got, _ := blocking(px).Read(p, mustOpen(t, p, px, "/nc"), 0, 104)
 		b := got.Bytes()
 		if string(b[:4]) != "aaaa" || string(b[100:104]) != "bbbb" {
 			t.Errorf("content wrong after gap writes: %q ... %q", b[:4], b[100:])
@@ -206,7 +207,7 @@ func TestWriteBehindNonContiguousFlushes(t *testing.T) {
 
 func mustOpen(t *testing.T, p *sim.Proc, fs FS, path string) FD {
 	t.Helper()
-	fd, err := fs.Open(p, path)
+	fd, err := blocking(fs).Open(p, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +225,12 @@ func TestWriteBehindReducesNetworkRoundTrips(t *testing.T) {
 		}
 		var d sim.Duration
 		v.env.Process("t", func(p *sim.Proc) {
-			fd, _ := fs.Create(p, "/lat")
+			fd, _ := blocking(fs).Create(p, "/lat")
 			start := p.Now()
 			for i := int64(0); i < 64; i++ {
-				fs.Write(p, fd, i*2048, blob.Synthetic(1, i*2048, 2048))
+				blocking(fs).Write(p, fd, i*2048, blob.Synthetic(1, i*2048, 2048))
 			}
-			fs.Close(p, fd)
+			blocking(fs).Close(p, fd)
 			d = p.Now().Sub(start)
 		})
 		v.env.Run()
@@ -246,12 +247,12 @@ func TestIOStatsObservesAllOps(t *testing.T) {
 	v := newTestVolume(t)
 	ios := NewIOStats(v.env, v.client)
 	v.env.Process("t", func(p *sim.Proc) {
-		fd, _ := ios.Create(p, "/io/f")
-		ios.Write(p, fd, 0, blob.Synthetic(1, 0, 8192))
-		ios.Read(p, fd, 0, 8192)
-		ios.Stat(p, "/io/f")
-		ios.Close(p, fd)
-		ios.Unlink(p, "/io/f")
+		fd, _ := blocking(ios).Create(p, "/io/f")
+		blocking(ios).Write(p, fd, 0, blob.Synthetic(1, 0, 8192))
+		blocking(ios).Read(p, fd, 0, 8192)
+		blocking(ios).Stat(p, "/io/f")
+		blocking(ios).Close(p, fd)
+		blocking(ios).Unlink(p, "/io/f")
 	})
 	v.env.Run()
 	for _, op := range []string{"create", "write", "read", "stat", "close", "unlink"} {
@@ -282,10 +283,10 @@ func TestIOStatsAboveAndBelowACache(t *testing.T) {
 	ra := NewReadAhead(below, 64<<10)
 	above := NewIOStats(v.env, ra)
 	v.env.Process("t", func(p *sim.Proc) {
-		fd, _ := above.Create(p, "/io/seq")
-		above.Write(p, fd, 0, blob.Synthetic(1, 0, 128<<10))
+		fd, _ := blocking(above).Create(p, "/io/seq")
+		blocking(above).Write(p, fd, 0, blob.Synthetic(1, 0, 128<<10))
 		for off := int64(0); off < 128<<10; off += 4096 {
-			above.Read(p, fd, off, 4096)
+			blocking(above).Read(p, fd, off, 4096)
 		}
 	})
 	v.env.Run()

@@ -283,3 +283,18 @@ func instrKindStringTotal(pkg *pkgInfo) []Finding {
 	}
 	return out
 }
+
+// firstParamActor names the sim actor a function's first parameter is
+// ("Proc", "Task"), or "" for anything else.
+func firstParamActor(fn *types.Func, simPath string) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Params() == nil || sig.Params().Len() == 0 {
+		return ""
+	}
+	t := sig.Params().At(0).Type()
+	if !isSimActor(t, simPath) {
+		return ""
+	}
+	named := t.(*types.Pointer).Elem().(*types.Named)
+	return named.Obj().Name()
+}

@@ -103,6 +103,9 @@ type Client struct {
 	fdPaths map[gluster.FD]string
 	nextFD  gluster.FD
 
+	// statOps pools Stat's request frames; see statOp.
+	statOps []*statOp
+
 	// Stats
 	CacheHits, CacheMisses uint64
 }
@@ -138,10 +141,10 @@ func (c *Cluster) NewClient(node *fabric.Node) *Client {
 }
 
 // handleCallback processes MDS lock-revocation callbacks.
-func (cl *Client) handleCallback(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabric.Msg {
+func (cl *Client) handleCallback(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
 	r := req.(*revokeMsg)
 	cl.cache.dropFile(r.Path)
-	return &revokeMsg{Path: ""}
+	respond(&revokeMsg{Path: ""})
 }
 
 // DropCaches simulates unmount/remount: the cold-cache configuration of
@@ -153,44 +156,45 @@ func (cl *Client) DropCaches() {
 	}
 }
 
-func (cl *Client) mds(p *sim.Proc, req *mdsReq) *mdsResp {
+func (cl *Client) mds(t *sim.Task, req *mdsReq, k func(*mdsResp)) {
 	req.Client = cl.id
 	// Lustre's RPCs do not participate in optrace deadlines; a nil reply
 	// here would mean a deadline leaked onto a Lustre operation.
-	resp, _ := cl.node.Call(p, cl.cluster.mdsNode, "mds", req)
-	return resp.(*mdsResp)
+	cl.node.Call(t, cl.cluster.mdsNode, "mds", req, func(resp fabric.Msg, _ error) { k(resp.(*mdsResp)) })
+}
+
+// open issues a create or open at the MDS and assigns the descriptor.
+func (cl *Client) open(t *sim.Task, op, path string, k func(gluster.FD, error)) {
+	cl.mds(t, &mdsReq{Op: op, Path: path}, func(r *mdsResp) {
+		if r.Code != "" {
+			k(0, mapCode(r.Code))
+			return
+		}
+		cl.nextFD++
+		cl.fdPaths[cl.nextFD] = path
+		k(cl.nextFD, nil)
+	})
 }
 
 // Create implements gluster.FS.
-func (cl *Client) Create(p *sim.Proc, path string) (gluster.FD, error) {
-	r := cl.mds(p, &mdsReq{Op: "create", Path: path})
-	if r.Code != "" {
-		return 0, mapCode(r.Code)
-	}
-	cl.nextFD++
-	cl.fdPaths[cl.nextFD] = path
-	return cl.nextFD, nil
+func (cl *Client) Create(t *sim.Task, path string, k func(gluster.FD, error)) {
+	cl.open(t, "create", path, k)
 }
 
 // Open implements gluster.FS.
-func (cl *Client) Open(p *sim.Proc, path string) (gluster.FD, error) {
-	r := cl.mds(p, &mdsReq{Op: "open", Path: path})
-	if r.Code != "" {
-		return 0, mapCode(r.Code)
-	}
-	cl.nextFD++
-	cl.fdPaths[cl.nextFD] = path
-	return cl.nextFD, nil
+func (cl *Client) Open(t *sim.Task, path string, k func(gluster.FD, error)) {
+	cl.open(t, "open", path, k)
 }
 
 // Close implements gluster.FS. Locks and cached pages persist past close,
 // as in Lustre.
-func (cl *Client) Close(p *sim.Proc, fd gluster.FD) error {
+func (cl *Client) Close(t *sim.Task, fd gluster.FD, k func(error)) {
 	if _, ok := cl.fdPaths[fd]; !ok {
-		return gluster.ErrBadFD
+		k(gluster.ErrBadFD)
+		return
 	}
 	delete(cl.fdPaths, fd)
-	return nil
+	k(nil)
 }
 
 // stripeFor maps a logical file offset to its OST and object-local offset.
@@ -204,7 +208,7 @@ func (cl *Client) stripeFor(off int64) (ostIdx int, objOff int64) {
 
 // ostIO performs a striped read or write of [off, off+size), splitting at
 // stripe boundaries and issuing per-OST requests in parallel.
-func (cl *Client) ostIO(p *sim.Proc, path string, off int64, data blob.Blob, size int64, write bool) blob.Blob {
+func (cl *Client) ostIO(t *sim.Task, path string, off int64, data blob.Blob, size int64, write bool, k func(blob.Blob)) {
 	ss := cl.cluster.cfg.StripeSize
 	type piece struct {
 		ost        int
@@ -228,59 +232,85 @@ func (cl *Client) ostIO(p *sim.Proc, path string, off int64, data blob.Blob, siz
 		pos += take
 		remaining -= take
 	}
-	results := make([]blob.Blob, len(pieces))
+	finish := func(results []blob.Blob) {
+		if write {
+			k(blob.Blob{})
+			return
+		}
+		k(blob.Concat(results...))
+	}
 	if len(pieces) == 1 {
 		pc := pieces[0]
-		results[0] = cl.onePieceIO(p, path, pc.ost, pc.objOff, pc.logicalOff-off, pc.size, data, write)
-	} else {
-		events := make([]*sim.Event, len(pieces))
-		for i, pc := range pieces {
-			i, pc := i, pc
-			ev := sim.NewEvent(p.Env())
-			p.Spawn("lustre-stripe", func(q *sim.Proc) {
-				results[i] = cl.onePieceIO(q, path, pc.ost, pc.objOff, pc.logicalOff-off, pc.size, data, write)
+		cl.onePieceIO(t, path, pc.ost, pc.objOff, pc.logicalOff-off, pc.size, data, write, func(b blob.Blob) {
+			finish([]blob.Blob{b})
+		})
+		return
+	}
+	// One task per stripe piece, joined in piece order.
+	results := make([]blob.Blob, len(pieces))
+	events := make([]*sim.Event, len(pieces))
+	for i, pc := range pieces {
+		i, pc := i, pc
+		ev := sim.NewEvent(t.Env())
+		t.Env().StartTask("lustre-stripe", func(q *sim.Task) {
+			cl.onePieceIO(q, path, pc.ost, pc.objOff, pc.logicalOff-off, pc.size, data, write, func(b blob.Blob) {
+				results[i] = b
 				ev.Trigger(nil)
+				q.End()
 			})
-			events[i] = ev
+		})
+		events[i] = ev
+	}
+	var join func(i int)
+	join = func(i int) {
+		if i == len(events) {
+			finish(results)
+			return
 		}
-		sim.WaitAll(p, events...)
+		events[i].WaitT(t, func(interface{}) { join(i + 1) })
 	}
-	if write {
-		return blob.Blob{}
-	}
-	return blob.Concat(results...)
+	join(0)
 }
 
-func (cl *Client) onePieceIO(p *sim.Proc, path string, ostIdx int, objOff, dataOff, size int64, data blob.Blob, write bool) blob.Blob {
+func (cl *Client) onePieceIO(t *sim.Task, path string, ostIdx int, objOff, dataOff, size int64, data blob.Blob, write bool, k func(blob.Blob)) {
 	o := cl.cluster.osts[ostIdx]
 	req := &ostReq{Write: write, Path: path, Off: objOff, Size: size}
 	if write {
 		req.Data = data.Slice(dataOff, dataOff+size)
 	}
-	m, _ := cl.node.Call(p, o.node, "ost", req)
-	resp := m.(*ostResp)
-	return resp.Data
+	cl.node.Call(t, o.node, "ost", req, func(m fabric.Msg, _ error) { k(m.(*ostResp).Data) })
 }
 
 // Read implements gluster.FS: page-granular, served from the coherent
 // local cache when possible.
-func (cl *Client) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, error) {
+func (cl *Client) Read(t *sim.Task, fd gluster.FD, off, size int64, k func(blob.Blob, error)) {
 	path, ok := cl.fdPaths[fd]
 	if !ok {
-		return blob.Blob{}, gluster.ErrBadFD
+		k(blob.Blob{}, gluster.ErrBadFD)
+		return
 	}
-	cl.node.CPU.Use(p, clientOpCPU+sim.Duration(float64(size)*clientPerByteNanos))
-	st := cl.mdsStatCached(p, path)
-	if st == nil {
-		return blob.Blob{}, gluster.ErrNotExist
-	}
-	if off >= st.Size {
-		return blob.Blob{}, nil
-	}
-	if off+size > st.Size {
-		size = st.Size - off
-	}
+	cl.node.CPU.UseT(t, clientOpCPU+sim.Duration(float64(size)*clientPerByteNanos), func() {
+		cl.mdsStatCached(t, path, func(st *gluster.Stat) {
+			if st == nil {
+				k(blob.Blob{}, gluster.ErrNotExist)
+				return
+			}
+			if off >= st.Size {
+				k(blob.Blob{}, nil)
+				return
+			}
+			if off+size > st.Size {
+				size = st.Size - off
+			}
+			cl.readPages(t, path, st.Size, off, size, k)
+		})
+	})
+}
 
+// readPages serves [off, off+size) of a file of fileSize bytes from the
+// page cache, fetching each contiguous run of missing pages from the OSTs
+// in one striped request, then assembling the range.
+func (cl *Client) readPages(t *sim.Task, path string, fileSize, off, size int64, k func(blob.Blob, error)) {
 	// Register as a cache holder (the read lock).
 	if m := cl.cluster.files[path]; m != nil {
 		m.holders[cl.id] = cl
@@ -288,104 +318,132 @@ func (cl *Client) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, 
 
 	firstPage := off / clientPageSize
 	lastPage := (off + size - 1) / clientPageSize
-	var parts []blob.Blob
-	// Fetch contiguous runs of missing pages in single OST requests.
 	runStart := int64(-1)
-	flushRun := func(endPage int64) {
+	flushRun := func(endPage int64, k2 func()) {
 		if runStart < 0 {
+			k2()
 			return
 		}
 		lo := runStart * clientPageSize
 		hi := (endPage + 1) * clientPageSize
-		if hi > st.Size {
-			hi = st.Size
+		if hi > fileSize {
+			hi = fileSize
 		}
-		data := cl.ostIO(p, path, lo, blob.Blob{}, hi-lo, false)
-		for pg := runStart; pg <= endPage; pg++ {
-			plo := pg*clientPageSize - lo
-			phi := plo + clientPageSize
-			if phi > data.Len() {
-				phi = data.Len()
+		start := runStart
+		runStart = -1
+		cl.ostIO(t, path, lo, blob.Blob{}, hi-lo, false, func(data blob.Blob) {
+			for pg := start; pg <= endPage; pg++ {
+				plo := pg*clientPageSize - lo
+				phi := plo + clientPageSize
+				if phi > data.Len() {
+					phi = data.Len()
+				}
+				if plo >= phi {
+					break
+				}
+				cl.cache.put(path, pg, data.Slice(plo, phi))
 			}
-			if plo >= phi {
+			k2()
+		})
+	}
+	assemble := func() {
+		var parts []blob.Blob
+		for pg := firstPage; pg <= lastPage; pg++ {
+			page, hit := cl.cache.get(path, pg)
+			if !hit {
+				break // EOF page beyond data
+			}
+			lo := int64(0)
+			if pg == firstPage {
+				lo = off - pg*clientPageSize
+			}
+			hi := page.Len()
+			if end := off + size - pg*clientPageSize; end < hi {
+				hi = end
+			}
+			if lo >= hi {
 				break
 			}
-			cl.cache.put(path, pg, data.Slice(plo, phi))
+			parts = append(parts, page.Slice(lo, hi))
 		}
-		runStart = -1
+		k(blob.Concat(parts...), nil)
 	}
-	for pg := firstPage; pg <= lastPage; pg++ {
-		if _, hit := cl.cache.get(path, pg); hit {
-			cl.CacheHits++
-			flushRun(pg - 1)
-		} else {
-			cl.CacheMisses++
-			if runStart < 0 {
-				runStart = pg
+	// Scan the pages, flushing each missing run when a hit ends it.
+	var scan func(pg int64)
+	scan = func(pg int64) {
+		for ; pg <= lastPage; pg++ {
+			if _, hit := cl.cache.get(path, pg); hit {
+				cl.CacheHits++
+				if runStart >= 0 {
+					next := pg + 1
+					flushRun(pg-1, func() { scan(next) })
+					return
+				}
+			} else {
+				cl.CacheMisses++
+				if runStart < 0 {
+					runStart = pg
+				}
 			}
 		}
+		flushRun(lastPage, assemble)
 	}
-	flushRun(lastPage)
-
-	// Assemble from the now-complete cache.
-	for pg := firstPage; pg <= lastPage; pg++ {
-		page, hit := cl.cache.get(path, pg)
-		if !hit {
-			break // EOF page beyond data
-		}
-		lo := int64(0)
-		if pg == firstPage {
-			lo = off - pg*clientPageSize
-		}
-		hi := page.Len()
-		if end := off + size - pg*clientPageSize; end < hi {
-			hi = end
-		}
-		if lo >= hi {
-			break
-		}
-		parts = append(parts, page.Slice(lo, hi))
-	}
-	return blob.Concat(parts...), nil
+	scan(firstPage)
 }
 
 // mdsStatCached returns the file's metadata. Attribute reads hit the MDS
 // only when the client holds no pages (a coarse model of Lustre's
 // attribute caching under locks).
-func (cl *Client) mdsStatCached(p *sim.Proc, path string) *gluster.Stat {
+func (cl *Client) mdsStatCached(t *sim.Task, path string, k func(*gluster.Stat)) {
 	m := cl.cluster.files[path]
 	if m == nil {
-		return nil
+		k(nil)
+		return
 	}
 	if _, holding := m.holders[cl.id]; holding {
-		return cl.cluster.statOf(path, m) // attributes valid under lock
+		k(cl.cluster.statOf(path, m)) // attributes valid under lock
+		return
 	}
-	r := cl.mds(p, &mdsReq{Op: "stat", Path: path})
-	if r.Code != "" {
-		return nil
-	}
-	return r.St
+	cl.mds(t, &mdsReq{Op: "stat", Path: path}, func(r *mdsResp) {
+		if r.Code != "" {
+			k(nil)
+			return
+		}
+		k(r.St)
+	})
 }
 
 // Write implements gluster.FS: write-through to the OSTs, with other
 // clients' caches revoked first (writes are flushed before locks are
 // released, so readers always see completed writes).
-func (cl *Client) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (int64, error) {
+func (cl *Client) Write(t *sim.Task, fd gluster.FD, off int64, data blob.Blob, k func(int64, error)) {
 	path, ok := cl.fdPaths[fd]
 	if !ok {
-		return 0, gluster.ErrBadFD
+		k(0, gluster.ErrBadFD)
+		return
 	}
-	cl.node.CPU.Use(p, clientOpCPU+sim.Duration(float64(data.Len())*clientPerByteNanos))
-	m := cl.cluster.files[path]
-	if m == nil {
-		return 0, gluster.ErrNotExist
-	}
-	// Acquire the write lock: MDS revokes all other holders.
-	_, _ = cl.node.Call(p, cl.cluster.mdsNode, "mds-lock", &lockReq{Path: path, Client: cl.id, Write: true})
+	cl.node.CPU.UseT(t, clientOpCPU+sim.Duration(float64(data.Len())*clientPerByteNanos), func() {
+		m := cl.cluster.files[path]
+		if m == nil {
+			k(0, gluster.ErrNotExist)
+			return
+		}
+		// Acquire the write lock: MDS revokes all other holders.
+		lock := &lockReq{Path: path, Client: cl.id, Write: true}
+		cl.node.Call(t, cl.cluster.mdsNode, "mds-lock", lock, func(fabric.Msg, error) {
+			cl.ostIO(t, path, off, data, 0, true, func(blob.Blob) {
+				cl.patchPages(path, off, data)
+				m.holders[cl.id] = cl
+				// Size/mtime update at the MDS.
+				setattr := &mdsReq{Op: "setattr", Path: path, Size: off + data.Len(), Mtime: cl.cluster.env.Now()}
+				cl.mds(t, setattr, func(*mdsResp) { k(data.Len(), nil) })
+			})
+		})
+	})
+}
 
-	cl.ostIO(p, path, off, data, 0, true)
-
-	// Update our own cached pages covering the write.
+// patchPages updates our own cached pages covering a completed write.
+func (cl *Client) patchPages(path string, off int64, data blob.Blob) {
 	first := off / clientPageSize
 	last := (off + data.Len() - 1) / clientPageSize
 	for pg := first; pg <= last; pg++ {
@@ -408,50 +466,82 @@ func (cl *Client) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (
 			}
 		}
 	}
-	m.holders[cl.id] = cl
-
-	// Size/mtime update at the MDS.
-	cl.mds(p, &mdsReq{Op: "setattr", Path: path, Size: off + data.Len(), Mtime: cl.cluster.env.Now()})
-	return data.Len(), nil
 }
 
 // Stat implements gluster.FS.
-func (cl *Client) Stat(p *sim.Proc, path string) (*gluster.Stat, error) {
-	r := cl.mds(p, &mdsReq{Op: "stat", Path: path})
-	if r.Code != "" {
-		return nil, mapCode(r.Code)
+func (cl *Client) Stat(t *sim.Task, path string, k func(*gluster.Stat, error)) {
+	op := cl.takeStatOp()
+	op.k = k
+	op.req.Op, op.req.Path, op.req.Client = "stat", path, cl.id
+	cl.node.Call(t, cl.cluster.mdsNode, "mds", &op.req, op.fnDone)
+}
+
+// statOp is Stat's pooled frame: the MDS request and the completion
+// continuation prebound as a method value. It returns to the client's pool
+// when the fabric recycles the request, after both sides are done with it.
+type statOp struct {
+	cl     *Client
+	k      func(*gluster.Stat, error)
+	req    mdsReq
+	fnDone func(fabric.Msg, error)
+}
+
+func (cl *Client) takeStatOp() *statOp {
+	if n := len(cl.statOps); n > 0 {
+		op := cl.statOps[n-1]
+		cl.statOps[n-1] = nil
+		cl.statOps = cl.statOps[:n-1]
+		return op
 	}
-	return r.St, nil
+	op := &statOp{cl: cl}
+	op.req.op = op
+	op.fnDone = op.done
+	return op
+}
+
+func (op *statOp) release() {
+	op.k = nil
+	op.req = mdsReq{op: op}
+	op.cl.statOps = append(op.cl.statOps, op)
+}
+
+func (op *statOp) done(m fabric.Msg, _ error) {
+	r := m.(*mdsResp)
+	if r.Code != "" {
+		op.k(nil, mapCode(r.Code))
+		return
+	}
+	op.k(r.St, nil)
 }
 
 // Unlink implements gluster.FS.
-func (cl *Client) Unlink(p *sim.Proc, path string) error {
-	r := cl.mds(p, &mdsReq{Op: "unlink", Path: path})
-	cl.cache.dropFile(path)
-	return mapCode(r.Code)
+func (cl *Client) Unlink(t *sim.Task, path string, k func(error)) {
+	cl.mds(t, &mdsReq{Op: "unlink", Path: path}, func(r *mdsResp) {
+		cl.cache.dropFile(path)
+		k(mapCode(r.Code))
+	})
 }
 
 // Mkdir implements gluster.FS.
-func (cl *Client) Mkdir(p *sim.Proc, path string) error {
-	r := cl.mds(p, &mdsReq{Op: "mkdir", Path: path})
-	return mapCode(r.Code)
+func (cl *Client) Mkdir(t *sim.Task, path string, k func(error)) {
+	cl.mds(t, &mdsReq{Op: "mkdir", Path: path}, func(r *mdsResp) { k(mapCode(r.Code)) })
 }
 
 // Readdir implements gluster.FS.
-func (cl *Client) Readdir(p *sim.Proc, path string) ([]string, error) {
-	r := cl.mds(p, &mdsReq{Op: "readdir", Path: path})
-	return r.Names, mapCode(r.Code)
+func (cl *Client) Readdir(t *sim.Task, path string, k func([]string, error)) {
+	cl.mds(t, &mdsReq{Op: "readdir", Path: path}, func(r *mdsResp) { k(r.Names, mapCode(r.Code)) })
 }
 
 // Truncate implements gluster.FS (metadata-only in this model).
-func (cl *Client) Truncate(p *sim.Proc, path string, size int64) error {
+func (cl *Client) Truncate(t *sim.Task, path string, size int64, k func(error)) {
 	m := cl.cluster.files[path]
 	if m == nil {
-		return gluster.ErrNotExist
+		k(gluster.ErrNotExist)
+		return
 	}
 	cl.cache.dropFile(path)
-	r := cl.mds(p, &mdsReq{Op: "setattr", Path: path, Size: size, Exact: true, Mtime: cl.cluster.env.Now()})
-	return mapCode(r.Code)
+	setattr := &mdsReq{Op: "setattr", Path: path, Size: size, Exact: true, Mtime: cl.cluster.env.Now()}
+	cl.mds(t, setattr, func(r *mdsResp) { k(mapCode(r.Code)) })
 }
 
 func mapCode(code string) error {

@@ -87,6 +87,9 @@ type Cluster struct {
 
 	clients []*Client
 
+	// mdsOps pools the MDS's request frames; see mdsOp.
+	mdsOps []*mdsOp
+
 	// Stats
 	Revocations uint64
 	MDSOps      uint64
@@ -137,6 +140,15 @@ type mdsReq struct {
 	Size   int64    // setattr
 	Exact  bool     // setattr: set size exactly (truncate) vs extend-only
 	Mtime  sim.Time // setattr
+
+	op *statOp // the client stat frame this request lives in, nil if unpooled
+}
+
+// Recycle implements fabric.Recyclable.
+func (r *mdsReq) Recycle() {
+	if r.op != nil {
+		r.op.release()
+	}
 }
 
 func (r *mdsReq) WireSize() int64 { return 48 + int64(len(r.Path)) }
@@ -145,6 +157,16 @@ type mdsResp struct {
 	St    *gluster.Stat
 	Names []string
 	Code  string
+
+	op *mdsOp // the MDS frame this response lives in, nil if unpooled
+}
+
+// Recycle implements fabric.Recyclable: once the caller's continuation has
+// read the response, its frame returns to the MDS's pool.
+func (r *mdsResp) Recycle() {
+	if r.op != nil {
+		r.op.release()
+	}
 }
 
 func (r *mdsResp) WireSize() int64 {
@@ -165,16 +187,73 @@ func (c *Cluster) statOf(path string, m *meta) *gluster.Stat {
 	}
 }
 
-func (c *Cluster) handleMDS(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabric.Msg {
-	r := req.(*mdsReq)
+func (c *Cluster) handleMDS(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
+	op := c.takeMDSOp()
+	op.t, op.r, op.respond = t, req.(*mdsReq), respond
 	c.MDSOps++
-	c.mdsThreads.Acquire(p, 1)
-	defer c.mdsThreads.Release(1)
-	c.mdsNode.CPU.Use(p, c.cfg.MDSOpCPU)
+	c.mdsThreads.AcquireT(t, 1, op.fnHeld)
+}
+
+// mdsOp is the MDS's pooled frame for one metadata request: thread grant,
+// CPU charge, serve, respond, on continuations prebound at construction.
+// The response lives in the frame, which returns to the pool when the
+// fabric recycles the delivered response — so a steady-state stat, the
+// fig5 workload's whole diet, allocates only the Stat it returns.
+type mdsOp struct {
+	c       *Cluster
+	t       *sim.Task
+	r       *mdsReq
+	respond func(fabric.Msg)
+	resp    mdsResp
+
+	fnHeld, fnCPUHeld, fnCPUDone, fnServed func()
+}
+
+func (c *Cluster) takeMDSOp() *mdsOp {
+	if n := len(c.mdsOps); n > 0 {
+		op := c.mdsOps[n-1]
+		c.mdsOps[n-1] = nil
+		c.mdsOps = c.mdsOps[:n-1]
+		return op
+	}
+	op := &mdsOp{c: c}
+	op.resp.op = op
+	op.fnHeld = op.held
+	op.fnCPUHeld = op.cpuHeld
+	op.fnCPUDone = op.cpuDone
+	op.fnServed = op.served
+	return op
+}
+
+func (op *mdsOp) release() {
+	op.t, op.r, op.respond = nil, nil, nil
+	op.resp = mdsResp{op: op}
+	op.c.mdsOps = append(op.c.mdsOps, op)
+}
+
+func (op *mdsOp) held() { op.c.mdsNode.CPU.AcquireT(op.t, 1, op.fnCPUHeld) }
+
+func (op *mdsOp) cpuHeld() { op.t.Sleep(op.c.cfg.MDSOpCPU, op.fnCPUDone) }
+
+func (op *mdsOp) cpuDone() {
+	op.c.mdsNode.CPU.Release(1)
+	op.c.serveMDS(op.t, op.r, &op.resp, op.fnServed)
+}
+
+// served releases the MDS thread before the response leaves.
+func (op *mdsOp) served() {
+	op.c.mdsThreads.Release(1)
+	op.respond(&op.resp)
+}
+
+// serveMDS applies one metadata request, filling resp, then runs k. Only
+// unlink waits (for the lock revocations it issues).
+func (c *Cluster) serveMDS(t *sim.Task, r *mdsReq, resp *mdsResp, k func()) {
 	switch r.Op {
 	case "create":
 		if _, ok := c.files[r.Path]; ok {
-			return &mdsResp{Code: "EEXIST"}
+			resp.Code = "EEXIST"
+			break
 		}
 		c.nextIno++
 		now := c.env.Now()
@@ -182,52 +261,58 @@ func (c *Cluster) handleMDS(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabr
 		c.files[r.Path] = m
 		dir, name := splitPath(r.Path)
 		c.ensureDir(dir)[name] = struct{}{}
-		return &mdsResp{St: c.statOf(r.Path, m)}
+		resp.St = c.statOf(r.Path, m)
 	case "open", "stat":
 		m, ok := c.files[r.Path]
 		if !ok {
-			return &mdsResp{Code: "ENOENT"}
+			resp.Code = "ENOENT"
+			break
 		}
-		return &mdsResp{St: c.statOf(r.Path, m)}
+		resp.St = c.statOf(r.Path, m)
 	case "setattr":
 		m, ok := c.files[r.Path]
 		if !ok {
-			return &mdsResp{Code: "ENOENT"}
+			resp.Code = "ENOENT"
+			break
 		}
 		if r.Exact || r.Size > m.size {
 			m.size = r.Size
 		}
 		m.mtime = r.Mtime
-		return &mdsResp{St: c.statOf(r.Path, m)}
+		resp.St = c.statOf(r.Path, m)
 	case "unlink":
 		m, ok := c.files[r.Path]
 		if !ok {
-			return &mdsResp{Code: "ENOENT"}
+			resp.Code = "ENOENT"
+			break
 		}
-		c.revokeLocked(p, r.Path, m, -1)
-		delete(c.files, r.Path)
-		dir, name := splitPath(r.Path)
-		if d, ok := c.dirs[dir]; ok {
-			delete(d, name)
-		}
-		return &mdsResp{}
+		c.revokeLocked(t, r.Path, m, -1, func() {
+			delete(c.files, r.Path)
+			dir, name := splitPath(r.Path)
+			if d, ok := c.dirs[dir]; ok {
+				delete(d, name)
+			}
+			k()
+		})
+		return
 	case "mkdir":
 		c.ensureDir(r.Path)
-		return &mdsResp{}
 	case "readdir":
 		d, ok := c.dirs[r.Path]
 		if !ok {
-			return &mdsResp{Code: "ENOENT"}
+			resp.Code = "ENOENT"
+			break
 		}
 		names := make([]string, 0, len(d))
 		for n := range d {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		return &mdsResp{Names: names}
+		resp.Names = names
 	default:
 		panic("lustre: unknown mds op " + r.Op)
 	}
+	k()
 }
 
 // lockReq acquires a read lease; write intents revoke other holders.
@@ -241,21 +326,27 @@ func (r *lockReq) WireSize() int64 { return 32 + int64(len(r.Path)) }
 
 // handleLock serves lock acquisitions: a write intent revokes every other
 // holder's cached pages before the writer proceeds.
-func (c *Cluster) handleLock(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabric.Msg {
+func (c *Cluster) handleLock(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
 	r := req.(*lockReq)
-	c.mdsThreads.Acquire(p, 1)
-	defer c.mdsThreads.Release(1)
-	c.mdsNode.CPU.Use(p, c.cfg.MDSOpCPU)
-	if m, ok := c.files[r.Path]; ok && r.Write {
-		c.revokeLocked(p, r.Path, m, r.Client)
-	}
-	return &mdsResp{}
+	c.mdsThreads.AcquireT(t, 1, func() {
+		c.mdsNode.CPU.UseT(t, c.cfg.MDSOpCPU, func() {
+			done := func() {
+				c.mdsThreads.Release(1)
+				respond(&mdsResp{})
+			}
+			if m, ok := c.files[r.Path]; ok && r.Write {
+				c.revokeLocked(t, r.Path, m, r.Client, done)
+				return
+			}
+			done()
+		})
+	})
 }
 
 // revokeLocked drops every other client's cached pages for path. Each
 // revocation is a callback RPC from the MDS to the holder, issued in
 // sorted client order so identical runs revoke identically.
-func (c *Cluster) revokeLocked(p *sim.Proc, path string, m *meta, exceptClient int) {
+func (c *Cluster) revokeLocked(t *sim.Task, path string, m *meta, exceptClient int, k func()) {
 	ids := make([]int, 0, len(m.holders))
 	for id := range m.holders {
 		if id != exceptClient {
@@ -263,12 +354,21 @@ func (c *Cluster) revokeLocked(p *sim.Proc, path string, m *meta, exceptClient i
 		}
 	}
 	sort.Ints(ids)
-	for _, id := range ids {
+	var next func(i int)
+	next = func(i int) {
+		if i == len(ids) {
+			k()
+			return
+		}
+		id := ids[i]
 		c.Revocations++
 		// Callback RPC to the client; the client drops its pages.
-		_, _ = c.mdsNode.Call(p, m.holders[id].node, "lustre-client", &revokeMsg{Path: path})
-		delete(m.holders, id)
+		c.mdsNode.Call(t, m.holders[id].node, "lustre-client", &revokeMsg{Path: path}, func(fabric.Msg, error) {
+			delete(m.holders, id)
+			next(i + 1)
+		})
 	}
+	next(0)
 }
 
 type revokeMsg struct{ Path string }
@@ -295,28 +395,49 @@ type ostResp struct {
 func (r *ostResp) WireSize() int64 { return 16 + r.Data.Len() + int64(len(r.Code)) }
 
 func (c *Cluster) makeOSTHandler(o *ost) fabric.Handler {
-	return func(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabric.Msg {
+	return func(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
 		r := req.(*ostReq)
-		o.node.CPU.Use(p, c.cfg.OSTOpCPU)
-		fd, err := o.store.Open(p, r.Path)
-		if err != nil {
-			if fd, err = o.store.Create(p, r.Path); err != nil {
-				return &ostResp{Code: "EIO"}
-			}
-		}
-		defer o.store.Close(p, fd)
-		if r.Write {
-			if _, err := o.store.Write(p, fd, r.Off, r.Data); err != nil {
-				return &ostResp{Code: "EIO"}
-			}
-			return &ostResp{}
-		}
-		data, err := o.store.Read(p, fd, r.Off, r.Size)
-		if err != nil {
-			return &ostResp{Code: "EIO"}
-		}
-		return &ostResp{Data: data}
+		o.node.CPU.UseT(t, c.cfg.OSTOpCPU, func() {
+			o.store.Open(t, r.Path, func(fd gluster.FD, err error) {
+				if err == nil {
+					c.serveOST(t, o, r, fd, respond)
+					return
+				}
+				o.store.Create(t, r.Path, func(fd gluster.FD, err error) {
+					if err != nil {
+						respond(&ostResp{Code: "EIO"})
+						return
+					}
+					c.serveOST(t, o, r, fd, respond)
+				})
+			})
+		})
 	}
+}
+
+// serveOST performs one object read or write on an open descriptor,
+// closing it before the response leaves.
+func (c *Cluster) serveOST(t *sim.Task, o *ost, r *ostReq, fd gluster.FD, respond func(fabric.Msg)) {
+	reply := func(resp *ostResp) {
+		o.store.Close(t, fd, func(error) { respond(resp) })
+	}
+	if r.Write {
+		o.store.Write(t, fd, r.Off, r.Data, func(_ int64, err error) {
+			if err != nil {
+				reply(&ostResp{Code: "EIO"})
+				return
+			}
+			reply(&ostResp{})
+		})
+		return
+	}
+	o.store.Read(t, fd, r.Off, r.Size, func(data blob.Blob, err error) {
+		if err != nil {
+			reply(&ostResp{Code: "EIO"})
+			return
+		}
+		reply(&ostResp{Data: data})
+	})
 }
 
 func splitPath(path string) (dir, name string) {

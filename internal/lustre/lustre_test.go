@@ -27,15 +27,15 @@ func TestLustreCreateWriteRead(t *testing.T) {
 	env, _, cls := deploy(t, 4)
 	env.Process("t", func(p *sim.Proc) {
 		c := cls[0]
-		fd, err := c.Create(p, "/f")
+		fd, err := blocking(c).Create(p, "/f")
 		if err != nil {
 			t.Fatal(err)
 		}
 		payload := blob.Synthetic(7, 0, 3<<20) // crosses stripes on 4 OSTs
-		if _, err := c.Write(p, fd, 0, payload); err != nil {
+		if _, err := blocking(c).Write(p, fd, 0, payload); err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Read(p, fd, 0, 3<<20)
+		got, err := blocking(c).Read(p, fd, 0, 3<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,8 +50,8 @@ func TestLustreStripingUsesAllOSTs(t *testing.T) {
 	env, cl, cls := deploy(t, 4)
 	env.Process("t", func(p *sim.Proc) {
 		c := cls[0]
-		fd, _ := c.Create(p, "/striped")
-		c.Write(p, fd, 0, blob.Synthetic(1, 0, 8<<20)) // 8 stripes over 4 OSTs
+		fd, _ := blocking(c).Create(p, "/striped")
+		blocking(c).Write(p, fd, 0, blob.Synthetic(1, 0, 8<<20)) // 8 stripes over 4 OSTs
 	})
 	env.Run()
 	for i, o := range cl.osts {
@@ -66,16 +66,16 @@ func TestLustreWarmCacheReadIsLocal(t *testing.T) {
 	var cold, warm sim.Duration
 	env.Process("t", func(p *sim.Proc) {
 		c := cls[0]
-		fd, _ := c.Create(p, "/w")
-		c.Write(p, fd, 0, blob.Synthetic(1, 0, 1<<20))
+		fd, _ := blocking(c).Create(p, "/w")
+		blocking(c).Write(p, fd, 0, blob.Synthetic(1, 0, 1<<20))
 		c.DropCaches()
 
 		start := p.Now()
-		c.Read(p, fd, 0, 1<<20)
+		blocking(c).Read(p, fd, 0, 1<<20)
 		cold = p.Now().Sub(start)
 
 		start = p.Now()
-		c.Read(p, fd, 0, 1<<20)
+		blocking(c).Read(p, fd, 0, 1<<20)
 		warm = p.Now().Sub(start)
 	})
 	env.Run()
@@ -91,11 +91,11 @@ func TestLustreColdCacheFetchesFromOST(t *testing.T) {
 	env, _, cls := deploy(t, 1)
 	env.Process("t", func(p *sim.Proc) {
 		c := cls[0]
-		fd, _ := c.Create(p, "/cold")
-		c.Write(p, fd, 0, blob.Synthetic(2, 0, 64<<10))
+		fd, _ := blocking(c).Create(p, "/cold")
+		blocking(c).Write(p, fd, 0, blob.Synthetic(2, 0, 64<<10))
 		c.DropCaches()
 		start := p.Now()
-		got, err := c.Read(p, fd, 0, 64<<10)
+		got, err := blocking(c).Read(p, fd, 0, 64<<10)
 		if err != nil || got.Len() != 64<<10 {
 			t.Fatalf("cold read: %d, %v", got.Len(), err)
 		}
@@ -110,17 +110,17 @@ func TestLustreCoherencyWriterInvalidatesReader(t *testing.T) {
 	env, cl, cls := deploy(t, 1)
 	env.Process("t", func(p *sim.Proc) {
 		w, r := cls[0], cls[1]
-		wfd, _ := w.Create(p, "/shared")
-		w.Write(p, wfd, 0, blob.FromString("version-one____"))
+		wfd, _ := blocking(w).Create(p, "/shared")
+		blocking(w).Write(p, wfd, 0, blob.FromString("version-one____"))
 
-		rfd, _ := r.Open(p, "/shared")
-		got, _ := r.Read(p, rfd, 0, 15)
+		rfd, _ := blocking(r).Open(p, "/shared")
+		got, _ := blocking(r).Read(p, rfd, 0, 15)
 		if string(got.Bytes()) != "version-one____" {
 			t.Fatalf("reader saw %q", got.Bytes())
 		}
 		// Writer updates; reader's cache must be revoked.
-		w.Write(p, wfd, 0, blob.FromString("version-two____"))
-		got, _ = r.Read(p, rfd, 0, 15)
+		blocking(w).Write(p, wfd, 0, blob.FromString("version-two____"))
+		got, _ = blocking(r).Read(p, rfd, 0, 15)
 		if string(got.Bytes()) != "version-two____" {
 			t.Errorf("reader saw stale %q after write", got.Bytes())
 		}
@@ -135,11 +135,11 @@ func TestLustreStatSeesRemoteWrites(t *testing.T) {
 	env, _, cls := deploy(t, 1)
 	env.Process("t", func(p *sim.Proc) {
 		w, r := cls[0], cls[1]
-		wfd, _ := w.Create(p, "/poll")
-		st0, _ := r.Stat(p, "/poll")
+		wfd, _ := blocking(w).Create(p, "/poll")
+		st0, _ := blocking(r).Stat(p, "/poll")
 		p.Sleep(time.Second)
-		w.Write(p, wfd, 0, blob.Synthetic(1, 0, 500))
-		st1, err := r.Stat(p, "/poll")
+		blocking(w).Write(p, wfd, 0, blob.Synthetic(1, 0, 500))
+		st1, err := blocking(r).Stat(p, "/poll")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,15 +159,15 @@ func TestLustreMoreOSTsImproveLargeReadBandwidth(t *testing.T) {
 		c := cl.NewClient(net.NewNode("c", 8))
 		var d sim.Duration
 		env.Process("t", func(p *sim.Proc) {
-			fd, _ := c.Create(p, "/big")
-			c.Write(p, fd, 0, blob.Synthetic(1, 0, 32<<20))
+			fd, _ := blocking(c).Create(p, "/big")
+			blocking(c).Write(p, fd, 0, blob.Synthetic(1, 0, 32<<20))
 			c.DropCaches()
 			// Also chill the OST caches so the disks matter.
 			for _, o := range cl.osts {
 				o.store.Cache().Clear()
 			}
 			start := p.Now()
-			c.Read(p, fd, 0, 32<<20)
+			blocking(c).Read(p, fd, 0, 32<<20)
 			d = p.Now().Sub(start)
 		})
 		env.Run()
@@ -184,15 +184,15 @@ func TestLustreUnlink(t *testing.T) {
 	env, _, cls := deploy(t, 2)
 	env.Process("t", func(p *sim.Proc) {
 		c := cls[0]
-		fd, _ := c.Create(p, "/gone")
-		c.Write(p, fd, 0, blob.FromString("x"))
-		if err := c.Unlink(p, "/gone"); err != nil {
+		fd, _ := blocking(c).Create(p, "/gone")
+		blocking(c).Write(p, fd, 0, blob.FromString("x"))
+		if err := blocking(c).Unlink(p, "/gone"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Stat(p, "/gone"); err != gluster.ErrNotExist {
+		if _, err := blocking(c).Stat(p, "/gone"); err != gluster.ErrNotExist {
 			t.Errorf("stat after unlink = %v", err)
 		}
-		if _, err := c.Open(p, "/gone"); err != gluster.ErrNotExist {
+		if _, err := blocking(c).Open(p, "/gone"); err != gluster.ErrNotExist {
 			t.Errorf("open after unlink = %v", err)
 		}
 	})
@@ -203,10 +203,10 @@ func TestLustreMkdirReaddir(t *testing.T) {
 	env, _, cls := deploy(t, 1)
 	env.Process("t", func(p *sim.Proc) {
 		c := cls[0]
-		c.Mkdir(p, "/d")
-		c.Create(p, "/d/a")
-		c.Create(p, "/d/b")
-		names, err := c.Readdir(p, "/d")
+		blocking(c).Mkdir(p, "/d")
+		blocking(c).Create(p, "/d/a")
+		blocking(c).Create(p, "/d/b")
+		names, err := blocking(c).Readdir(p, "/d")
 		if err != nil || len(names) != 2 {
 			t.Errorf("readdir = %v, %v", names, err)
 		}
@@ -222,13 +222,13 @@ func TestLustreClientCacheBounded(t *testing.T) {
 	cl := New(env, net, "l", cfg)
 	c := cl.NewClient(net.NewNode("c", 8))
 	env.Process("t", func(p *sim.Proc) {
-		fd, _ := c.Create(p, "/big")
-		c.Write(p, fd, 0, blob.Synthetic(1, 0, 8<<20))
+		fd, _ := blocking(c).Create(p, "/big")
+		blocking(c).Write(p, fd, 0, blob.Synthetic(1, 0, 8<<20))
 		c.DropCaches()
-		c.Read(p, fd, 0, 8<<20)
+		blocking(c).Read(p, fd, 0, 8<<20)
 		// Re-read: most pages were evicted, so misses must dominate.
 		c.CacheHits, c.CacheMisses = 0, 0
-		c.Read(p, fd, 0, 8<<20)
+		blocking(c).Read(p, fd, 0, 8<<20)
 	})
 	env.Run()
 	if c.cache.used > 1<<20 {
@@ -243,10 +243,10 @@ func TestLustreTruncate(t *testing.T) {
 	env, _, cls := deploy(t, 1)
 	env.Process("t", func(p *sim.Proc) {
 		c := cls[0]
-		fd, _ := c.Create(p, "/t")
-		c.Write(p, fd, 0, blob.Synthetic(1, 0, 1000))
-		c.Truncate(p, "/t", 100)
-		st, _ := c.Stat(p, "/t")
+		fd, _ := blocking(c).Create(p, "/t")
+		blocking(c).Write(p, fd, 0, blob.Synthetic(1, 0, 1000))
+		blocking(c).Truncate(p, "/t", 100)
+		st, _ := blocking(c).Stat(p, "/t")
 		if st.Size != 100 {
 			t.Errorf("size after truncate = %d", st.Size)
 		}

@@ -34,7 +34,7 @@ func TestEjectionAfterKFailures(t *testing.T) {
 	cl.servers[0].Fail()
 	env.Process("t", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			if _, ok := cl.Get(p, "k"); ok {
+			if _, ok := bank(cl).Get(p, "k"); ok {
 				t.Error("hit from a failed daemon")
 			}
 		}
@@ -42,7 +42,7 @@ func TestEjectionAfterKFailures(t *testing.T) {
 			t.Fatal("server not ejected after 3 down replies")
 		}
 		txBefore, start := cl.node.TxMsgs, p.Now()
-		if _, ok := cl.Get(p, "k"); ok {
+		if _, ok := bank(cl).Get(p, "k"); ok {
 			t.Error("hit from an ejected server")
 		}
 		if cl.node.TxMsgs != txBefore {
@@ -67,20 +67,20 @@ func TestEjectionProbeReadmits(t *testing.T) {
 	cl.SetEjection(2, 2*time.Millisecond)
 	cl.servers[0].Fail()
 	env.Process("t", func(p *sim.Proc) {
-		cl.Get(p, "k")
-		cl.Get(p, "k")
+		bank(cl).Get(p, "k")
+		bank(cl).Get(p, "k")
 		if !cl.Ejected(0) {
 			t.Fatal("server not ejected")
 		}
 		cl.servers[0].Recover()
 		p.Sleep(2 * time.Millisecond)
-		if err := cl.Set(p, "k", blob.FromString("v")); err != nil {
+		if err := bank(cl).Set(p, "k", blob.FromString("v")); err != nil {
 			t.Errorf("probe set failed: %v", err)
 		}
 		if cl.Ejected(0) {
 			t.Error("server still ejected after successful probe")
 		}
-		if it, ok := cl.Get(p, "k"); !ok || string(it.Value.Bytes()) != "v" {
+		if it, ok := bank(cl).Get(p, "k"); !ok || string(it.Value.Bytes()) != "v" {
 			t.Errorf("get after readmit = %v, %v", it, ok)
 		}
 	})
@@ -98,22 +98,22 @@ func TestEjectionProbeBackoffDoubles(t *testing.T) {
 	cl.SetEjection(1, backoff)
 	cl.servers[0].Fail()
 	env.Process("t", func(p *sim.Proc) {
-		cl.Get(p, "k") // down reply: ejected, next probe in 2ms
+		bank(cl).Get(p, "k") // down reply: ejected, next probe in 2ms
 		if !cl.Ejected(0) {
 			t.Fatal("server not ejected")
 		}
 		p.Sleep(backoff)
-		cl.Get(p, "k") // probe, fails: next probe in 4ms
+		bank(cl).Get(p, "k") // probe, fails: next probe in 4ms
 		if cl.Probes() != 1 {
 			t.Fatalf("probes = %d, want 1", cl.Probes())
 		}
 		p.Sleep(2 * time.Millisecond)
-		cl.Get(p, "k") // only ~2ms into the 4ms backoff: fast-fail
+		bank(cl).Get(p, "k") // only ~2ms into the 4ms backoff: fast-fail
 		if cl.Probes() != 1 {
 			t.Errorf("probe went out before the doubled backoff expired")
 		}
 		p.Sleep(2 * time.Millisecond)
-		cl.Get(p, "k") // past the 4ms backoff: probe
+		bank(cl).Get(p, "k") // past the 4ms backoff: probe
 		if cl.Probes() != 2 {
 			t.Errorf("probes = %d after doubled backoff, want 2", cl.Probes())
 		}
@@ -130,17 +130,17 @@ func TestGetMultiSkipsEjectedServers(t *testing.T) {
 	keys := keysFor(cl)
 	env.Process("t", func(p *sim.Proc) {
 		for i, k := range keys {
-			if err := cl.Set(p, k, blob.FromString(fmt.Sprintf("v%d", i))); err != nil {
+			if err := bank(cl).Set(p, k, blob.FromString(fmt.Sprintf("v%d", i))); err != nil {
 				t.Fatalf("set %q: %v", k, err)
 			}
 		}
 		cl.servers[0].Fail()
-		cl.Get(p, keys[0]) // down reply ejects server 0
+		bank(cl).Get(p, keys[0]) // down reply ejects server 0
 		if !cl.Ejected(0) {
 			t.Fatal("server 0 not ejected")
 		}
 		txBefore := cl.node.TxMsgs
-		got := cl.GetMulti(p, keys)
+		got := bank(cl).GetMulti(p, keys)
 		if cl.node.TxMsgs != txBefore+1 {
 			t.Errorf("batched get sent %d messages, want 1 (healthy server only)",
 				cl.node.TxMsgs-txBefore)
@@ -169,7 +169,7 @@ func TestEjectionMidGetMulti(t *testing.T) {
 	keys := keysFor(cl)
 	env.Process("t", func(p *sim.Proc) {
 		for i, k := range keys {
-			if err := cl.Set(p, k, blob.FromString(fmt.Sprintf("v%d", i))); err != nil {
+			if err := bank(cl).Set(p, k, blob.FromString(fmt.Sprintf("v%d", i))); err != nil {
 				t.Fatalf("set %q: %v", k, err)
 			}
 		}
@@ -177,7 +177,7 @@ func TestEjectionMidGetMulti(t *testing.T) {
 		// wire latency later — in flight, before either daemon has replied.
 		env.Defer(fabric.IPoIB.Latency/2, func() { cl.servers[0].Fail() })
 		txBefore := cl.node.TxMsgs
-		got := cl.GetMulti(p, keys)
+		got := bank(cl).GetMulti(p, keys)
 		if cl.node.TxMsgs != txBefore+2 {
 			t.Errorf("scatter sent %d messages, want 2 (crash must postdate the scatter)",
 				cl.node.TxMsgs-txBefore)
@@ -192,7 +192,7 @@ func TestEjectionMidGetMulti(t *testing.T) {
 			t.Error("mid-batch down reply did not eject the server")
 		}
 		txBefore = cl.node.TxMsgs
-		got = cl.GetMulti(p, keys)
+		got = bank(cl).GetMulti(p, keys)
 		if cl.node.TxMsgs != txBefore+1 {
 			t.Errorf("post-ejection batch sent %d messages, want 1 (ejected server must be skipped)",
 				cl.node.TxMsgs-txBefore)
@@ -217,7 +217,7 @@ func TestEjectionProbeBackoffCaps(t *testing.T) {
 	cl.servers[0].Fail()
 	var probeAt []sim.Time
 	env.Process("t", func(p *sim.Proc) {
-		cl.Get(p, "k") // down reply: ejected, first probe due in 1ms
+		bank(cl).Get(p, "k") // down reply: ejected, first probe due in 1ms
 		if !cl.Ejected(0) {
 			t.Fatal("server not ejected")
 		}
@@ -226,7 +226,7 @@ func TestEjectionProbeBackoffCaps(t *testing.T) {
 		for i := 0; i < 9; i++ {
 			p.Sleep(cl.health[0].probeAt.Sub(p.Now()))
 			probeAt = append(probeAt, p.Now())
-			cl.Get(p, "k")
+			bank(cl).Get(p, "k")
 		}
 	})
 	env.Run()
@@ -260,7 +260,7 @@ func TestEjectionDisabledByDefault(t *testing.T) {
 	env.Process("t", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
 			start := p.Now()
-			cl.Get(p, "k")
+			bank(cl).Get(p, "k")
 			if p.Now() == start {
 				t.Error("down-daemon request cost no time with ejection disabled")
 			}
@@ -282,17 +282,17 @@ func TestEjectionSuccessResetsFailStreak(t *testing.T) {
 	env, cl := simBank(1, 64)
 	cl.SetEjection(2, 2*time.Millisecond)
 	env.Process("t", func(p *sim.Proc) {
-		cl.Set(p, "k", blob.FromString("v"))
+		bank(cl).Set(p, "k", blob.FromString("v"))
 		cl.servers[0].Fail()
-		cl.Get(p, "k") // fail 1
+		bank(cl).Get(p, "k") // fail 1
 		cl.servers[0].Recover()
-		cl.Get(p, "k") // success: streak resets (miss — the crash emptied the store)
+		bank(cl).Get(p, "k") // success: streak resets (miss — the crash emptied the store)
 		cl.servers[0].Fail()
-		cl.Get(p, "k") // fail 1 again
+		bank(cl).Get(p, "k") // fail 1 again
 		if cl.Ejected(0) {
 			t.Error("server ejected despite interleaved success")
 		}
-		cl.Get(p, "k") // fail 2: now ejected
+		bank(cl).Get(p, "k") // fail 2: now ejected
 		if !cl.Ejected(0) {
 			t.Error("server not ejected after two consecutive failures")
 		}

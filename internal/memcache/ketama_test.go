@@ -72,10 +72,10 @@ func TestKetamaWorksAsBankSelector(t *testing.T) {
 	env.Process("t", func(p *sim.Proc) {
 		for i := 0; i < 60; i++ {
 			key := fmt.Sprintf("kk-%d", i)
-			if err := cl.Set(p, key, blob.FromString("v")); err != nil {
+			if err := bank(cl).Set(p, key, blob.FromString("v")); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := cl.Get(p, key); !ok {
+			if _, ok := bank(cl).Get(p, key); !ok {
 				t.Fatalf("readback of %s failed", key)
 			}
 		}

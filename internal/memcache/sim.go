@@ -2,13 +2,10 @@ package memcache
 
 import (
 	"errors"
-	"strconv"
 	"time"
 
-	"imca/internal/blob"
 	"imca/internal/fabric"
 	"imca/internal/flight"
-	"imca/internal/optrace"
 	"imca/internal/sim"
 	"imca/internal/telemetry"
 )
@@ -60,9 +57,8 @@ func (r *GetReq) WireSize() int64 {
 // GetResp carries the found items. Down reports that the daemon is dead
 // (connection refused); the caller treats every key as a miss. A pooled
 // response (op non-nil) belongs to a server-side srvOp and its Items point
-// into that op's buffers: valid through the task-engine continuation that
-// receives it, reclaimed when the fabric recycles the response. Responses
-// returned to blocking callers are never recycled and stay valid forever.
+// into that op's buffers: valid through the continuation that receives
+// it, reclaimed when the fabric recycles the response.
 type GetResp struct {
 	Items []*Item
 	Down  bool
@@ -176,8 +172,7 @@ type SimServer struct {
 	slow float64
 
 	// ops is the free list of pooled request state machines (see
-	// srvtask.go); replies handed to blocking callers escape and simply
-	// leave the pool to the collector.
+	// srvtask.go).
 	ops []*srvOp
 }
 
@@ -189,7 +184,7 @@ func NewSimServer(node *fabric.Node, limitBytes int64) *SimServer {
 		store:  NewStore(limitBytes, func() int64 { return int64(env.Now().Seconds()) }),
 		daemon: sim.NewResource(env, 1),
 	}
-	node.HandleT(ServiceName, s.handleT)
+	node.Handle(ServiceName, s.handle)
 	return s
 }
 
@@ -299,7 +294,7 @@ type SimClient struct {
 	suspectAfter            sim.Duration
 	suspectBackoff          sim.Duration
 	suspects, suspectClears uint64
-	// fnGetFailover dispatches GetT's replica retry. It is a stored
+	// fnGetFailover dispatches Get's replica retry. It is a stored
 	// function value on purpose: the allocfree walker follows direct
 	// calls only, so the exceptional failover leg stays off the audited
 	// common path (the same sanctioned idiom as the kernel's ev.fn).
@@ -323,7 +318,7 @@ func NewSimClient(node *fabric.Node, servers []*SimServer) *SimClient {
 	for i, s := range servers {
 		c.bindings[i] = node.Bind(s.node, ServiceName)
 	}
-	c.fnGetFailover = c.failoverGetT
+	c.fnGetFailover = c.failoverGet
 	return c
 }
 
@@ -387,165 +382,10 @@ func (c *SimClient) fail(a sim.Actor, idx int, err error, down bool) string {
 	return result
 }
 
-// Get fetches one key; ok is false on a miss. A dead daemon, a cut link,
-// or an expired operation deadline also reads as a miss — the bank
-// degrades, it never stalls or fails an operation. An ejected server
-// misses instantly without a wire request (see SetEjection). With
-// replication on, a failed primary leg retries once against the replica.
-func (c *SimClient) Get(p *sim.Proc, key string) (*Item, bool) {
-	idx, _ := c.pick(key)
-	return c.getOn(p, idx, c.replicaNext(key, idx), key)
-}
-
-// getOn runs one Get leg against server idx; next is the replica to fail
-// over to (-1 for none). Failover triggers on an inadmissible (ejected or
-// suspected) server, a wire error, or a Down reply — never on a clean
-// miss, which is authoritative on either copy.
-func (c *SimClient) getOn(p *sim.Proc, idx, next int, key string) (*Item, bool) {
-	srv := c.servers[idx]
-	sp := optrace.StartSpan(p, optrace.LayerMCD, "get")
-	sp.SetAttr("server", srv.node.Name())
-	t0 := p.Now()
-	if !c.admitRead(p, idx) {
-		sp.SetAttr("result", "ejected")
-		sp.End(p)
-		c.getHist.ObserveSince(p, t0)
-		if next >= 0 {
-			return c.getFailover(p, next, key)
-		}
-		return nil, false
-	}
-	m, err := c.node.Call(p, srv.node, ServiceName, &GetReq{Keys: []string{key}})
-	if err != nil {
-		sp.SetAttr("result", c.fail(p, idx, err, false))
-		sp.End(p)
-		c.getHist.ObserveSince(p, t0)
-		if next >= 0 {
-			return c.getFailover(p, next, key)
-		}
-		return nil, false
-	}
-	resp := m.(*GetResp)
-	if resp.Down {
-		sp.SetAttr("result", c.fail(p, idx, nil, true))
-		sp.End(p)
-		c.getHist.ObserveSince(p, t0)
-		if next >= 0 {
-			return c.getFailover(p, next, key)
-		}
-		return nil, false
-	}
-	c.observe(p, idx, true)
-	c.observeLatency(p, idx, p.Now().Sub(t0))
-	if len(resp.Items) == 0 {
-		sp.SetAttr("result", "miss")
-		sp.End(p)
-		c.getHist.ObserveSince(p, t0)
-		return nil, false
-	}
-	sp.SetAttr("result", "hit")
-	sp.SetAttr("bytes", strconv.FormatInt(resp.Items[0].Value.Len(), 10))
-	sp.End(p)
-	c.getHist.ObserveSince(p, t0)
-	return resp.Items[0], true
-}
-
-// getFailover records the replica retry and runs the second leg, which
-// itself has no further failover target.
-func (c *SimClient) getFailover(p *sim.Proc, next int, key string) (*Item, bool) {
-	c.failovers++
-	c.fr.Append(p.Now(), flight.KindFailover, c.node.Name(), c.servers[next].node.Name(), 0)
-	return c.getOn(p, next, -1, key)
-}
-
 // mcdReply carries one MCD's scatter-gather outcome back to GetMulti.
 type mcdReply struct {
 	resp *GetResp
 	err  error
-}
-
-// GetMulti fetches many keys with one batched request per MCD; requests to
-// distinct MCDs proceed in parallel. The result maps found keys to items.
-// Keys served by a dead daemon, over a cut link, or abandoned because the
-// operation's deadline expired, are simply absent — misses the caller
-// satisfies from the server. Keys on an ejected server are absent without
-// a worker being spawned or a request serializing onto the NIC.
-func (c *SimClient) GetMulti(p *sim.Proc, keys []string) map[string]*Item {
-	if len(keys) == 1 {
-		it, ok := c.Get(p, keys[0])
-		if !ok {
-			return map[string]*Item{}
-		}
-		return map[string]*Item{keys[0]: it}
-	}
-	defer c.multiHist.ObserveSince(p, p.Now())
-	byServer := make(map[int][]string)
-	for _, k := range keys {
-		i := c.routeRead(p, k)
-		byServer[i] = append(byServer[i], k)
-	}
-	out := make(map[string]*Item, len(keys))
-	var events []*sim.Event
-	var idxs []int
-	for i := range c.servers { // deterministic order
-		ks, ok := byServer[i]
-		if !ok {
-			continue
-		}
-		if !c.admitRead(p, i) {
-			continue // ejected: every key an instant miss
-		}
-		i, s := i, c.servers[i]
-		ev := sim.NewEvent(p.Env())
-		worker := p.Spawn("mcd-get", func(q *sim.Proc) {
-			sp := optrace.StartSpan(q, optrace.LayerMCD, "getmulti")
-			sp.SetAttr("server", s.node.Name())
-			sp.SetAttr("keys", strconv.Itoa(len(ks)))
-			m, err := c.node.Call(q, s.node, ServiceName, &GetReq{Keys: ks})
-			if err != nil {
-				if errors.Is(err, fabric.ErrUnreachable) {
-					sp.SetAttr("result", "unreachable")
-				} else {
-					sp.SetAttr("result", "deadline")
-				}
-				sp.End(q)
-				ev.Trigger(mcdReply{err: err})
-				return
-			}
-			resp := m.(*GetResp)
-			switch {
-			case resp.Down:
-				sp.SetAttr("result", "down")
-			case len(resp.Items) == len(ks):
-				sp.SetAttr("result", "hit")
-			default:
-				sp.SetAttr("result", "partial")
-			}
-			sp.End(q)
-			ev.Trigger(mcdReply{resp: resp})
-		})
-		// The workers run on the operation's critical path: their spans
-		// nest under the caller's current span.
-		optrace.Fork(p, worker)
-		events = append(events, ev)
-		idxs = append(idxs, i)
-	}
-	for n, ev := range events {
-		r := ev.Wait(p).(mcdReply)
-		if r.err != nil {
-			c.fail(p, idxs[n], r.err, false)
-			continue
-		}
-		if r.resp.Down {
-			c.fail(p, idxs[n], nil, true)
-			continue
-		}
-		c.observe(p, idxs[n], true)
-		for _, it := range r.resp.Items {
-			out[it.Key] = it
-		}
-	}
-	return out
 }
 
 // routeRead picks the server a batched read for key should go to: the
@@ -562,92 +402,6 @@ func (c *SimClient) routeRead(a sim.Actor, key string) int {
 		return r
 	}
 	return i
-}
-
-// Set stores an item on its MCD and waits for the acknowledgement. A dead
-// daemon drops the update (the bank is best-effort; correctness lives at
-// the file server), and so do an expired operation deadline, a cut link,
-// and an ejected server. With replication on, the item is written through
-// to the replica as well; the primary's result is what the caller sees
-// (the replica copy is best-effort, like the bank itself).
-func (c *SimClient) Set(p *sim.Proc, key string, value blob.Blob) error {
-	idx, _ := c.pick(key)
-	err := c.setOn(p, idx, key, value)
-	if r := c.replicaNext(key, idx); r >= 0 {
-		c.setOn(p, r, key, value)
-	}
-	return err
-}
-
-// setOn runs one Set leg against server idx.
-func (c *SimClient) setOn(p *sim.Proc, idx int, key string, value blob.Blob) error {
-	srv := c.servers[idx]
-	sp := optrace.StartSpan(p, optrace.LayerMCD, "set")
-	sp.SetAttr("server", srv.node.Name())
-	sp.SetAttr("bytes", strconv.FormatInt(value.Len(), 10))
-	defer sp.End(p)
-	defer c.setHist.ObserveSince(p, p.Now())
-	if !c.admit(p, idx) {
-		sp.SetAttr("result", "ejected")
-		return ErrServerDown
-	}
-	m, err := c.node.Call(p, srv.node, ServiceName, &SetReq{Item: &Item{Key: key, Value: value}})
-	if err != nil {
-		sp.SetAttr("result", c.fail(p, idx, err, false))
-		return err
-	}
-	resp := m.(*SetResp)
-	switch {
-	case resp.Down:
-		sp.SetAttr("result", c.fail(p, idx, nil, true))
-		return ErrServerDown
-	case resp.Err != "":
-		c.observe(p, idx, true)
-		sp.SetAttr("result", "error")
-		return ErrNotStored
-	}
-	c.observe(p, idx, true)
-	sp.SetAttr("result", "stored")
-	return nil
-}
-
-// Delete removes a key from its MCD. An ejected server drops the delete
-// without a wire request — sound for crash-ejections (the cache died with
-// its contents), and the documented model boundary for partitions that
-// separate a writer from a cache its readers can still reach (see
-// DESIGN.md, "Fault model"). With replication on, both copies are
-// deleted; found reports whether either copy held the key.
-func (c *SimClient) Delete(p *sim.Proc, key string) bool {
-	idx, _ := c.pick(key)
-	found := c.delOn(p, idx, key)
-	if r := c.replicaNext(key, idx); r >= 0 && c.delOn(p, r, key) {
-		found = true
-	}
-	return found
-}
-
-// delOn runs one Delete leg against server idx.
-func (c *SimClient) delOn(p *sim.Proc, idx int, key string) bool {
-	srv := c.servers[idx]
-	sp := optrace.StartSpan(p, optrace.LayerMCD, "delete")
-	sp.SetAttr("server", srv.node.Name())
-	defer sp.End(p)
-	if !c.admit(p, idx) {
-		sp.SetAttr("result", "ejected")
-		return false
-	}
-	m, err := c.node.Call(p, srv.node, ServiceName, &DelReq{Key: key})
-	if err != nil {
-		sp.SetAttr("result", c.fail(p, idx, err, false))
-		return false
-	}
-	resp := m.(*DelResp)
-	if resp.Down {
-		sp.SetAttr("result", c.fail(p, idx, nil, true))
-		return false
-	}
-	c.observe(p, idx, true)
-	return resp.Found
 }
 
 // DownReplies returns how many of this client's requests were answered by

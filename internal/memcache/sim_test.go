@@ -26,14 +26,14 @@ func simBank(n int, mcdMemMB int64) (*sim.Env, *SimClient) {
 func TestSimSetGet(t *testing.T) {
 	env, cl := simBank(1, 64)
 	env.Process("t", func(p *sim.Proc) {
-		if err := cl.Set(p, "k", blob.FromString("value")); err != nil {
+		if err := bank(cl).Set(p, "k", blob.FromString("value")); err != nil {
 			t.Fatal(err)
 		}
-		it, ok := cl.Get(p, "k")
+		it, ok := bank(cl).Get(p, "k")
 		if !ok || string(it.Value.Bytes()) != "value" {
 			t.Errorf("get = %v, %v", it, ok)
 		}
-		if _, ok := cl.Get(p, "missing"); ok {
+		if _, ok := bank(cl).Get(p, "missing"); ok {
 			t.Error("hit on missing key")
 		}
 	})
@@ -44,9 +44,9 @@ func TestSimGetCostsARoundTrip(t *testing.T) {
 	env, cl := simBank(1, 64)
 	var getTime sim.Duration
 	env.Process("t", func(p *sim.Proc) {
-		cl.Set(p, "k", blob.FromString("v"))
+		bank(cl).Set(p, "k", blob.FromString("v"))
 		start := p.Now()
-		cl.Get(p, "k")
+		bank(cl).Get(p, "k")
 		getTime = p.Now().Sub(start)
 	})
 	env.Run()
@@ -61,14 +61,14 @@ func TestSimGetCostsARoundTrip(t *testing.T) {
 func TestSimDelete(t *testing.T) {
 	env, cl := simBank(2, 64)
 	env.Process("t", func(p *sim.Proc) {
-		cl.Set(p, "k", blob.FromString("v"))
-		if !cl.Delete(p, "k") {
+		bank(cl).Set(p, "k", blob.FromString("v"))
+		if !bank(cl).Delete(p, "k") {
 			t.Error("delete of present key reported not found")
 		}
-		if cl.Delete(p, "k") {
+		if bank(cl).Delete(p, "k") {
 			t.Error("delete of absent key reported found")
 		}
-		if _, ok := cl.Get(p, "k"); ok {
+		if _, ok := bank(cl).Get(p, "k"); ok {
 			t.Error("key present after delete")
 		}
 	})
@@ -79,7 +79,7 @@ func TestSimKeysSpreadAcrossBank(t *testing.T) {
 	env, cl := simBank(4, 64)
 	env.Process("t", func(p *sim.Proc) {
 		for i := 0; i < 200; i++ {
-			cl.Set(p, fmt.Sprintf("key-%d", i), blob.FromString("v"))
+			bank(cl).Set(p, fmt.Sprintf("key-%d", i), blob.FromString("v"))
 		}
 	})
 	env.Run()
@@ -99,9 +99,9 @@ func TestSimGetMultiBatchesPerServer(t *testing.T) {
 	env.Process("t", func(p *sim.Proc) {
 		for i := range keys {
 			keys[i] = fmt.Sprintf("mk-%d", i)
-			cl.Set(p, keys[i], blob.FromString("v"))
+			bank(cl).Set(p, keys[i], blob.FromString("v"))
 		}
-		items := cl.GetMulti(p, keys)
+		items := bank(cl).GetMulti(p, keys)
 		if len(items) != len(keys) {
 			t.Errorf("GetMulti returned %d, want %d", len(items), len(keys))
 		}
@@ -144,15 +144,15 @@ func TestSimGetMultiParallelAcrossServers(t *testing.T) {
 	var oneAtATime, batched sim.Duration
 	env.Process("t", func(p *sim.Proc) {
 		for _, k := range keys {
-			cl.Set(p, k, blob.Synthetic(1, 0, valSize))
+			bank(cl).Set(p, k, blob.Synthetic(1, 0, valSize))
 		}
 		start := p.Now()
 		for _, k := range keys {
-			cl.Get(p, k)
+			bank(cl).Get(p, k)
 		}
 		oneAtATime = p.Now().Sub(start)
 		start = p.Now()
-		items := cl.GetMulti(p, keys)
+		items := bank(cl).GetMulti(p, keys)
 		batched = p.Now().Sub(start)
 		if len(items) != 4 {
 			t.Fatalf("GetMulti found %d of 4", len(items))
@@ -170,12 +170,12 @@ func TestSimCapacityEvictions(t *testing.T) {
 	env, cl := simBank(1, 2)
 	env.Process("t", func(p *sim.Proc) {
 		for i := 0; i < 64; i++ {
-			cl.Set(p, fmt.Sprintf("big-%d", i), blob.Synthetic(uint64(i), 0, 64<<10))
+			bank(cl).Set(p, fmt.Sprintf("big-%d", i), blob.Synthetic(uint64(i), 0, 64<<10))
 		}
-		if _, ok := cl.Get(p, "big-0"); ok {
+		if _, ok := bank(cl).Get(p, "big-0"); ok {
 			t.Error("oldest item survived in an overcommitted MCD")
 		}
-		if _, ok := cl.Get(p, "big-63"); !ok {
+		if _, ok := bank(cl).Get(p, "big-63"); !ok {
 			t.Error("newest item missing")
 		}
 	})
@@ -197,8 +197,8 @@ func TestSimServerSharedByManyClients(t *testing.T) {
 		i := i
 		env.Process("client", func(p *sim.Proc) {
 			key := fmt.Sprintf("shared-%d", i)
-			cl.Set(p, key, blob.FromString("v"))
-			if _, ok := cl.Get(p, key); !ok {
+			bank(cl).Set(p, key, blob.FromString("v"))
+			if _, ok := bank(cl).Get(p, key); !ok {
 				t.Errorf("client %d lost its key", i)
 			}
 			done++
@@ -254,10 +254,10 @@ func TestSimGetMultiWithOneMCDDown(t *testing.T) {
 	}
 	env.Process("t", func(p *sim.Proc) {
 		for _, k := range keys {
-			cl.Set(p, k, blob.FromString("v"))
+			bank(cl).Set(p, k, blob.FromString("v"))
 		}
 		cl.Servers()[victim].Fail()
-		items := cl.GetMulti(p, keys)
+		items := bank(cl).GetMulti(p, keys)
 		if len(items) != onLive {
 			t.Errorf("GetMulti found %d keys, want %d (the live MCDs' share)", len(items), onLive)
 		}
@@ -278,16 +278,16 @@ func TestSimGetMultiWithOneMCDDown(t *testing.T) {
 func TestSimGetFromDownMCDIsAMiss(t *testing.T) {
 	env, cl := simBank(1, 64)
 	env.Process("t", func(p *sim.Proc) {
-		cl.Set(p, "k", blob.FromString("v"))
+		bank(cl).Set(p, "k", blob.FromString("v"))
 		cl.Servers()[0].Fail()
-		if _, ok := cl.Get(p, "k"); ok {
+		if _, ok := bank(cl).Get(p, "k"); ok {
 			t.Error("hit from a failed daemon")
 		}
-		if err := cl.Set(p, "k", blob.FromString("v")); err != ErrServerDown {
+		if err := bank(cl).Set(p, "k", blob.FromString("v")); err != ErrServerDown {
 			t.Errorf("Set on dead MCD: err = %v, want ErrServerDown", err)
 		}
 		cl.Servers()[0].Recover()
-		if _, ok := cl.Get(p, "k"); ok {
+		if _, ok := bank(cl).Get(p, "k"); ok {
 			t.Error("recovered daemon should restart empty")
 		}
 	})
@@ -303,12 +303,12 @@ func TestSimGetDeadlineIsAMiss(t *testing.T) {
 	env, cl := simBank(1, 64)
 	col := optrace.NewCollector()
 	env.Process("t", func(p *sim.Proc) {
-		cl.Set(p, "k", blob.FromString("v"))
+		bank(cl).Set(p, "k", blob.FromString("v"))
 		op := col.Begin(p, "get")
 		op.SetDeadline(p.Now().Add(time.Microsecond)) // far below one RTT
 		deadline, _ := op.DeadlineTime()
 		start := p.Now()
-		if _, ok := cl.Get(p, "k"); ok {
+		if _, ok := bank(cl).Get(p, "k"); ok {
 			t.Error("hit despite an expired deadline")
 		}
 		// The deadline expires while the request is still serializing; the

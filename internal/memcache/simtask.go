@@ -11,12 +11,10 @@ import (
 	"imca/internal/sim"
 )
 
-// Task-engine variants of the SimClient operations. Each mirrors its
-// blocking sibling's wire traffic, health accounting, and schedule
-// consumption exactly, delivering the result to a continuation instead of
-// returning it; see sim.Task for the determinism contract.
+// SimClient operations. Each runs on the caller's task and delivers its
+// result to a continuation.
 
-// getOp is GetT's pooled per-operation frame: the request (whose Keys
+// getOp is Get's pooled per-operation frame: the request (whose Keys
 // slice permanently aliases the op's one-element key buffer), the
 // completion continuation prebound as a method value, and the span/latency
 // bookkeeping the closure used to capture. The op returns to its client's
@@ -69,7 +67,7 @@ func (op *getOp) done(m fabric.Msg, err error) {
 		sp.End(t)
 		c.getHist.ObserveSince(t, op.t0)
 		if op.next >= 0 {
-			c.failoverGetT(t, op.next, op.key[0], op.k)
+			c.failoverGet(t, op.next, op.key[0], op.k)
 			return
 		}
 		op.k(nil, false)
@@ -81,7 +79,7 @@ func (op *getOp) done(m fabric.Msg, err error) {
 		sp.End(t)
 		c.getHist.ObserveSince(t, op.t0)
 		if op.next >= 0 {
-			c.failoverGetT(t, op.next, op.key[0], op.k)
+			c.failoverGet(t, op.next, op.key[0], op.k)
 			return
 		}
 		op.k(nil, false)
@@ -107,13 +105,19 @@ func (op *getOp) done(m fabric.Msg, err error) {
 	op.k(resp.Items[0], true)
 }
 
-// GetT is Get for the task engine: k receives (item, true) on a hit and
-// (nil, false) on any flavour of miss. A hit's item aliases pooled response
-// storage and is valid only until k returns; continuation code copies what
-// it keeps, exactly as it would from a network buffer.
+// Get fetches one key: k receives (item, true) on a hit and (nil, false)
+// on a miss. A dead daemon, a cut link, or an expired operation deadline
+// also reads as a miss — the bank degrades, it never stalls or fails an
+// operation. An ejected server misses instantly without a wire request
+// (see SetEjection). With replication on, a failed primary leg — an
+// inadmissible (ejected or suspected) server, a wire error, or a Down
+// reply, never a clean miss, which is authoritative on either copy —
+// retries once against the replica. A hit's item aliases pooled response
+// storage and is valid only until k returns; continuation code copies
+// what it keeps, exactly as it would from a network buffer.
 //
 //imcalint:hotpath 10k-tenant open-loop experiment: per-op allocations on this chain are the marginal cost (ROADMAP item 2); known ones are baselined for burn-down
-func (c *SimClient) GetT(t *sim.Task, key string, k func(*Item, bool)) {
+func (c *SimClient) Get(t *sim.Task, key string, k func(*Item, bool)) {
 	idx, srv := c.pick(key)
 	next := c.replicaNext(key, idx)
 	sp := optrace.StartSpan(t, optrace.LayerMCD, "get")
@@ -136,14 +140,14 @@ func (c *SimClient) GetT(t *sim.Task, key string, k func(*Item, bool)) {
 	op := c.takeGetOp()
 	op.t, op.k, op.sp, op.idx, op.next, op.t0 = t, k, sp, idx, next, t0
 	op.key[0] = key
-	c.bindings[idx].CallT(t, &op.req, op.fnDone)
+	c.bindings[idx].Call(t, &op.req, op.fnDone)
 }
 
-// failoverGetT records the replica retry and runs GetT's second leg,
+// failoverGet records the replica retry and runs Get's second leg,
 // which itself has no further failover target. Reached only through the
-// fnGetFailover function value (from GetT's admission gate) or from
+// fnGetFailover function value (from Get's admission gate) or from
 // getOp.done (off the static hot chain by the same stored-value idiom).
-func (c *SimClient) failoverGetT(t *sim.Task, next int, key string, k func(*Item, bool)) {
+func (c *SimClient) failoverGet(t *sim.Task, next int, key string, k func(*Item, bool)) {
 	c.failovers++
 	c.fr.Append(t.Now(), flight.KindFailover, c.node.Name(), c.servers[next].node.Name(), 0)
 	srv := c.servers[next]
@@ -160,16 +164,19 @@ func (c *SimClient) failoverGetT(t *sim.Task, next int, key string, k func(*Item
 	op := c.takeGetOp()
 	op.t, op.k, op.sp, op.idx, op.next, op.t0 = t, k, sp, next, -1, t0
 	op.key[0] = key
-	c.bindings[next].CallT(t, &op.req, op.fnDone)
+	c.bindings[next].Call(t, &op.req, op.fnDone)
 }
 
-// GetMultiT is GetMulti for the task engine. The scatter-gather workers
-// remain Procs — they are bounded by the MCD bank size, not the client
-// count, and spawning them costs the same one schedule as Proc.Spawn — so
-// only the caller side changes representation.
-func (c *SimClient) GetMultiT(t *sim.Task, keys []string, k func(map[string]*Item)) {
+// GetMulti fetches many keys with one batched request per MCD; requests
+// to distinct MCDs proceed in parallel, one worker task per MCD. k
+// receives the found keys. Keys served by a dead daemon, over a cut link,
+// or abandoned because the operation's deadline expired, are simply
+// absent — misses the caller satisfies from the server. Keys on an
+// ejected server are absent without a worker being started or a request
+// serializing onto the NIC.
+func (c *SimClient) GetMulti(t *sim.Task, keys []string, k func(map[string]*Item)) {
 	if len(keys) == 1 {
-		c.GetT(t, keys[0], func(it *Item, ok bool) {
+		c.Get(t, keys[0], func(it *Item, ok bool) {
 			if !ok {
 				k(map[string]*Item{})
 				return
@@ -197,33 +204,47 @@ func (c *SimClient) GetMultiT(t *sim.Task, keys []string, k func(map[string]*Ite
 		}
 		i, s := i, c.servers[i]
 		ev := sim.NewEvent(t.Env())
-		worker := t.Env().Process("mcd-get", func(q *sim.Proc) {
+		worker := t.Env().StartTask("mcd-get", func(q *sim.Task) {
 			sp := optrace.StartSpan(q, optrace.LayerMCD, "getmulti")
 			sp.SetAttr("server", s.node.Name())
 			sp.SetAttr("keys", strconv.Itoa(len(ks)))
-			m, err := c.node.Call(q, s.node, ServiceName, &GetReq{Keys: ks})
-			if err != nil {
-				if errors.Is(err, fabric.ErrUnreachable) {
-					sp.SetAttr("result", "unreachable")
-				} else {
-					sp.SetAttr("result", "deadline")
+			c.node.Call(q, s.node, ServiceName, &GetReq{Keys: ks}, func(m fabric.Msg, err error) {
+				if err != nil {
+					if errors.Is(err, fabric.ErrUnreachable) {
+						sp.SetAttr("result", "unreachable")
+					} else {
+						sp.SetAttr("result", "deadline")
+					}
+					sp.End(q)
+					ev.Trigger(mcdReply{err: err})
+					q.End()
+					return
+				}
+				resp := m.(*GetResp)
+				switch {
+				case resp.Down:
+					sp.SetAttr("result", "down")
+				case len(resp.Items) == len(ks):
+					sp.SetAttr("result", "hit")
+				default:
+					sp.SetAttr("result", "partial")
 				}
 				sp.End(q)
-				ev.Trigger(mcdReply{err: err})
-				return
-			}
-			resp := m.(*GetResp)
-			switch {
-			case resp.Down:
-				sp.SetAttr("result", "down")
-			case len(resp.Items) == len(ks):
-				sp.SetAttr("result", "hit")
-			default:
-				sp.SetAttr("result", "partial")
-			}
-			sp.End(q)
-			ev.Trigger(mcdReply{resp: resp})
+				// The reply outlives this continuation (the caller reads it
+				// after the fabric recycles the response), so it carries a
+				// private copy of the items.
+				items := make([]Item, len(resp.Items))
+				own := &GetResp{Items: make([]*Item, len(resp.Items)), Down: resp.Down}
+				for j, it := range resp.Items {
+					items[j] = *it
+					own.Items[j] = &items[j]
+				}
+				ev.Trigger(mcdReply{resp: own})
+				q.End()
+			})
 		})
+		// The workers run on the operation's critical path: their spans
+		// nest under the caller's current span.
 		optrace.Fork(t, worker)
 		events = append(events, ev)
 		idxs = append(idxs, i)
@@ -256,7 +277,7 @@ func (c *SimClient) GetMultiT(t *sim.Task, keys []string, k func(map[string]*Ite
 	collect(0)
 }
 
-// delOp is DeleteT's pooled per-operation frame; see getOp.
+// delOp is Delete's pooled per-operation frame; see getOp.
 type delOp struct {
 	c      *SimClient
 	t      *sim.Task
@@ -310,25 +331,25 @@ func (op *delOp) done(m fabric.Msg, err error) {
 	op.k(resp.Found)
 }
 
-// DeleteT is Delete for the task engine; k receives Delete's found
+// Delete is Delete for the task engine; k receives Delete's found
 // result. Ejection and failure semantics mirror Delete exactly: an
 // ejected or unreachable MCD absorbs the delete without a wire request,
 // per the documented fault-model boundary. With replication on, both
 // copies are deleted in sequence, as Delete does.
-func (c *SimClient) DeleteT(t *sim.Task, key string, k func(bool)) {
+func (c *SimClient) Delete(t *sim.Task, key string, k func(bool)) {
 	idx, _ := c.pick(key)
 	next := c.replicaNext(key, idx)
 	if next < 0 {
-		c.delOnT(t, idx, key, k)
+		c.delOn(t, idx, key, k)
 		return
 	}
-	c.delOnT(t, idx, key, func(found bool) {
-		c.delOnT(t, next, key, func(found2 bool) { k(found || found2) })
+	c.delOn(t, idx, key, func(found bool) {
+		c.delOn(t, next, key, func(found2 bool) { k(found || found2) })
 	})
 }
 
-// delOnT runs one DeleteT leg against server idx.
-func (c *SimClient) delOnT(t *sim.Task, idx int, key string, k func(bool)) {
+// delOn runs one Delete leg against server idx.
+func (c *SimClient) delOn(t *sim.Task, idx int, key string, k func(bool)) {
 	srv := c.servers[idx]
 	sp := optrace.StartSpan(t, optrace.LayerMCD, "delete")
 	sp.SetAttr("server", srv.node.Name())
@@ -341,10 +362,10 @@ func (c *SimClient) delOnT(t *sim.Task, idx int, key string, k func(bool)) {
 	op := c.takeDelOp()
 	op.t, op.k, op.sp, op.idx = t, k, sp, idx
 	op.req.Key = key
-	c.bindings[idx].CallT(t, &op.req, op.fnDone)
+	c.bindings[idx].Call(t, &op.req, op.fnDone)
 }
 
-// setOp is SetT's pooled per-operation frame; the request's Item
+// setOp is Set's pooled per-operation frame; the request's Item
 // permanently points at the op's embedded item, rebuilt per call (the
 // store copies on insert, so reuse is safe the moment Set returns).
 type setOp struct {
@@ -414,23 +435,23 @@ func (op *setOp) done(m fabric.Msg, err error) {
 	}
 }
 
-// SetT is Set for the task engine; k receives Set's error result. With
+// Set is Set for the task engine; k receives Set's error result. With
 // replication on, the replica leg runs after the primary leg and the
 // primary's result is what k sees, as in Set.
-func (c *SimClient) SetT(t *sim.Task, key string, value blob.Blob, k func(error)) {
+func (c *SimClient) Set(t *sim.Task, key string, value blob.Blob, k func(error)) {
 	idx, _ := c.pick(key)
 	next := c.replicaNext(key, idx)
 	if next < 0 {
-		c.setOnT(t, idx, key, value, k)
+		c.setOn(t, idx, key, value, k)
 		return
 	}
-	c.setOnT(t, idx, key, value, func(err error) {
-		c.setOnT(t, next, key, value, func(error) { k(err) })
+	c.setOn(t, idx, key, value, func(err error) {
+		c.setOn(t, next, key, value, func(error) { k(err) })
 	})
 }
 
-// setOnT runs one SetT leg against server idx.
-func (c *SimClient) setOnT(t *sim.Task, idx int, key string, value blob.Blob, k func(error)) {
+// setOn runs one Set leg against server idx.
+func (c *SimClient) setOn(t *sim.Task, idx int, key string, value blob.Blob, k func(error)) {
 	srv := c.servers[idx]
 	sp := optrace.StartSpan(t, optrace.LayerMCD, "set")
 	sp.SetAttr("server", srv.node.Name())
@@ -448,5 +469,5 @@ func (c *SimClient) setOnT(t *sim.Task, idx int, key string, value blob.Blob, k 
 	op := c.takeSetOp()
 	op.t, op.k, op.sp, op.idx, op.t0 = t, k, sp, idx, t0
 	op.item = Item{Key: key, Value: value}
-	c.bindings[idx].CallT(t, &op.req, op.fnDone)
+	c.bindings[idx].Call(t, &op.req, op.fnDone)
 }

@@ -11,9 +11,7 @@ import (
 // response, on continuations prebound at construction, so a steady-state
 // request allocates nothing. The response messages live inside the op and
 // carry a backpointer; when the fabric recycles a delivered (or abandoned)
-// response, the op returns to its server's free list. Responses that escape
-// to blocking callers are never recycled and their ops fall to the
-// collector — correct, just not pooled.
+// response, the op returns to its server's free list.
 type srvOp struct {
 	s       *SimServer
 	t       *sim.Task
@@ -77,12 +75,10 @@ func (op *srvOp) release() {
 	op.s.ops = append(op.s.ops, op)
 }
 
-// handleT serves one request continuation-style. The charge sequence —
-// daemon admission, per-key CPU, storage access, copy CPU — replays the
-// retired process-backed handler leg for leg, so schedule consumption (and
-// therefore results) are identical; only the per-request process spawn and
-// per-response allocations are gone.
-func (s *SimServer) handleT(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
+// handle serves one request continuation-style: daemon admission, per-key
+// CPU, storage access, then copy CPU for the bytes moved, all on the
+// pooled srvOp, so a steady-state request allocates nothing.
+func (s *SimServer) handle(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
 	sp := optrace.StartSpan(t, optrace.LayerMCDSrv, reqName(req))
 	if s.down {
 		sp.SetAttr("down", "true")
@@ -166,8 +162,7 @@ func (op *srvOp) cpuDone() {
 		op.getResp.Items = ptrs
 		op.moved = moved
 		if moved > 0 {
-			// Copy-out cost for the hit bytes: a second CPU use, exactly
-			// as the blocking handler charged it.
+			// Copy-out cost for the hit bytes: a second CPU use.
 			op.svcTime = s.stretch(copyTime(moved))
 			s.node.CPU.AcquireT(op.t, 1, op.fnCopyHeld)
 			return
@@ -196,8 +191,7 @@ func (op *srvOp) copyDone() {
 	op.finish(&op.getResp)
 }
 
-// finish releases the daemon, closes the span, and sends the response —
-// the same order the blocking handler's defers unwound in.
+// finish releases the daemon, closes the span, and sends the response.
 func (op *srvOp) finish(resp fabric.Msg) {
 	t, respond := op.t, op.respond
 	op.s.daemon.Release(1)

@@ -96,52 +96,78 @@ func (r *nfsResp) WireSize() int64 {
 	return n
 }
 
-func (s *Server) handle(p *sim.Proc, from *fabric.Node, req fabric.Msg) fabric.Msg {
+func (s *Server) handle(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
 	r := req.(*nfsReq)
-	s.threads.Acquire(p, 1)
-	defer s.threads.Release(1)
-	s.node.CPU.Use(p, s.cfg.OpCPU)
+	s.threads.AcquireT(t, 1, func() {
+		s.node.CPU.UseT(t, s.cfg.OpCPU, func() {
+			s.serve(t, r, func(resp *nfsResp) {
+				s.threads.Release(1)
+				respond(resp)
+			})
+		})
+	})
+}
+
+// serve runs one request against the export once an nfsd thread holds
+// it and the daemon's CPU is charged.
+func (s *Server) serve(t *sim.Task, r *nfsReq, k func(*nfsResp)) {
 	switch r.Op {
 	case "create":
-		fd, err := s.store.Create(p, r.Path)
-		if err != nil {
-			return &nfsResp{Code: "EEXIST"}
-		}
-		_ = s.store.Close(p, fd)
-		return &nfsResp{}
+		s.store.Create(t, r.Path, func(fd gluster.FD, err error) {
+			if err != nil {
+				k(&nfsResp{Code: "EEXIST"})
+				return
+			}
+			s.store.Close(t, fd, func(error) { k(&nfsResp{}) })
+		})
 	case "read":
-		fd, err := s.store.Open(p, r.Path)
-		if err != nil {
-			return &nfsResp{Code: "ENOENT"}
-		}
-		data, err := s.store.Read(p, fd, r.Off, r.Size)
-		_ = s.store.Close(p, fd)
-		if err != nil {
-			return &nfsResp{Code: "EIO"}
-		}
-		return &nfsResp{Data: data}
+		s.store.Open(t, r.Path, func(fd gluster.FD, err error) {
+			if err != nil {
+				k(&nfsResp{Code: "ENOENT"})
+				return
+			}
+			s.store.Read(t, fd, r.Off, r.Size, func(data blob.Blob, err error) {
+				s.store.Close(t, fd, func(error) {
+					if err != nil {
+						k(&nfsResp{Code: "EIO"})
+						return
+					}
+					k(&nfsResp{Data: data})
+				})
+			})
+		})
 	case "write":
-		fd, err := s.store.Open(p, r.Path)
-		if err != nil {
-			return &nfsResp{Code: "ENOENT"}
-		}
-		_, err = s.store.Write(p, fd, r.Off, r.Data)
-		_ = s.store.Close(p, fd)
-		if err != nil {
-			return &nfsResp{Code: "EIO"}
-		}
-		return &nfsResp{}
+		s.store.Open(t, r.Path, func(fd gluster.FD, err error) {
+			if err != nil {
+				k(&nfsResp{Code: "ENOENT"})
+				return
+			}
+			s.store.Write(t, fd, r.Off, r.Data, func(_ int64, err error) {
+				s.store.Close(t, fd, func(error) {
+					if err != nil {
+						k(&nfsResp{Code: "EIO"})
+						return
+					}
+					k(&nfsResp{})
+				})
+			})
+		})
 	case "stat":
-		st, err := s.store.Stat(p, r.Path)
-		if err != nil {
-			return &nfsResp{Code: "ENOENT"}
-		}
-		return &nfsResp{St: st}
+		s.store.Stat(t, r.Path, func(st *gluster.Stat, err error) {
+			if err != nil {
+				k(&nfsResp{Code: "ENOENT"})
+				return
+			}
+			k(&nfsResp{St: st})
+		})
 	case "unlink":
-		if err := s.store.Unlink(p, r.Path); err != nil {
-			return &nfsResp{Code: "ENOENT"}
-		}
-		return &nfsResp{}
+		s.store.Unlink(t, r.Path, func(err error) {
+			if err != nil {
+				k(&nfsResp{Code: "ENOENT"})
+				return
+			}
+			k(&nfsResp{})
+		})
 	default:
 		panic("nfssim: unknown op " + r.Op)
 	}
@@ -166,10 +192,9 @@ func NewClient(node *fabric.Node, server *Server) *Client {
 	return &Client{node: node, server: server.node, fdPaths: make(map[gluster.FD]string)}
 }
 
-func (c *Client) call(p *sim.Proc, req *nfsReq) *nfsResp {
+func (c *Client) call(t *sim.Task, req *nfsReq, k func(*nfsResp)) {
 	c.rpcs++
-	resp, _ := c.node.Call(p, c.server, "nfsd", req)
-	return resp.(*nfsResp)
+	c.node.Call(t, c.server, "nfsd", req, func(resp fabric.Msg, _ error) { k(resp.(*nfsResp)) })
 }
 
 // Register exposes the NFS client's RPC counter under prefix (e.g.
@@ -180,89 +205,104 @@ func (c *Client) Register(reg *telemetry.Registry, prefix string) {
 }
 
 // Create implements gluster.FS.
-func (c *Client) Create(p *sim.Proc, path string) (gluster.FD, error) {
-	r := c.call(p, &nfsReq{Op: "create", Path: path})
-	if r.Code != "" {
-		return 0, gluster.ErrExist
-	}
-	c.nextFD++
-	c.fdPaths[c.nextFD] = path
-	return c.nextFD, nil
+func (c *Client) Create(t *sim.Task, path string, k func(gluster.FD, error)) {
+	c.call(t, &nfsReq{Op: "create", Path: path}, func(r *nfsResp) {
+		if r.Code != "" {
+			k(0, gluster.ErrExist)
+			return
+		}
+		c.nextFD++
+		c.fdPaths[c.nextFD] = path
+		k(c.nextFD, nil)
+	})
 }
 
 // Open implements gluster.FS (a lookup RPC validates existence).
-func (c *Client) Open(p *sim.Proc, path string) (gluster.FD, error) {
-	r := c.call(p, &nfsReq{Op: "stat", Path: path})
-	if r.Code != "" {
-		return 0, gluster.ErrNotExist
-	}
-	c.nextFD++
-	c.fdPaths[c.nextFD] = path
-	return c.nextFD, nil
+func (c *Client) Open(t *sim.Task, path string, k func(gluster.FD, error)) {
+	c.call(t, &nfsReq{Op: "stat", Path: path}, func(r *nfsResp) {
+		if r.Code != "" {
+			k(0, gluster.ErrNotExist)
+			return
+		}
+		c.nextFD++
+		c.fdPaths[c.nextFD] = path
+		k(c.nextFD, nil)
+	})
 }
 
 // Close implements gluster.FS.
-func (c *Client) Close(p *sim.Proc, fd gluster.FD) error {
+func (c *Client) Close(t *sim.Task, fd gluster.FD, k func(error)) {
 	if _, ok := c.fdPaths[fd]; !ok {
-		return gluster.ErrBadFD
+		k(gluster.ErrBadFD)
+		return
 	}
 	delete(c.fdPaths, fd)
-	return nil
+	k(nil)
 }
 
 // Read implements gluster.FS.
-func (c *Client) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, error) {
+func (c *Client) Read(t *sim.Task, fd gluster.FD, off, size int64, k func(blob.Blob, error)) {
 	path, ok := c.fdPaths[fd]
 	if !ok {
-		return blob.Blob{}, gluster.ErrBadFD
+		k(blob.Blob{}, gluster.ErrBadFD)
+		return
 	}
-	r := c.call(p, &nfsReq{Op: "read", Path: path, Off: off, Size: size})
-	if r.Code != "" {
-		return blob.Blob{}, gluster.ErrNotExist
-	}
-	return r.Data, nil
+	c.call(t, &nfsReq{Op: "read", Path: path, Off: off, Size: size}, func(r *nfsResp) {
+		if r.Code != "" {
+			k(blob.Blob{}, gluster.ErrNotExist)
+			return
+		}
+		k(r.Data, nil)
+	})
 }
 
 // Write implements gluster.FS.
-func (c *Client) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (int64, error) {
+func (c *Client) Write(t *sim.Task, fd gluster.FD, off int64, data blob.Blob, k func(int64, error)) {
 	path, ok := c.fdPaths[fd]
 	if !ok {
-		return 0, gluster.ErrBadFD
+		k(0, gluster.ErrBadFD)
+		return
 	}
-	r := c.call(p, &nfsReq{Op: "write", Path: path, Off: off, Data: data})
-	if r.Code != "" {
-		return 0, gluster.ErrNotExist
-	}
-	return data.Len(), nil
+	c.call(t, &nfsReq{Op: "write", Path: path, Off: off, Data: data}, func(r *nfsResp) {
+		if r.Code != "" {
+			k(0, gluster.ErrNotExist)
+			return
+		}
+		k(data.Len(), nil)
+	})
 }
 
 // Stat implements gluster.FS.
-func (c *Client) Stat(p *sim.Proc, path string) (*gluster.Stat, error) {
-	r := c.call(p, &nfsReq{Op: "stat", Path: path})
-	if r.Code != "" {
-		return nil, gluster.ErrNotExist
-	}
-	return r.St, nil
+func (c *Client) Stat(t *sim.Task, path string, k func(*gluster.Stat, error)) {
+	c.call(t, &nfsReq{Op: "stat", Path: path}, func(r *nfsResp) {
+		if r.Code != "" {
+			k(nil, gluster.ErrNotExist)
+			return
+		}
+		k(r.St, nil)
+	})
 }
 
 // Unlink implements gluster.FS.
-func (c *Client) Unlink(p *sim.Proc, path string) error {
-	r := c.call(p, &nfsReq{Op: "unlink", Path: path})
-	if r.Code != "" {
-		return gluster.ErrNotExist
-	}
-	return nil
+func (c *Client) Unlink(t *sim.Task, path string, k func(error)) {
+	c.call(t, &nfsReq{Op: "unlink", Path: path}, func(r *nfsResp) {
+		if r.Code != "" {
+			k(gluster.ErrNotExist)
+			return
+		}
+		k(nil)
+	})
 }
 
 // Mkdir implements gluster.FS (directories are implicit server-side).
-func (c *Client) Mkdir(p *sim.Proc, path string) error { return nil }
+func (c *Client) Mkdir(t *sim.Task, path string, k func(error)) { k(nil) }
 
 // Readdir implements gluster.FS (not used by the Fig. 1 workload).
-func (c *Client) Readdir(p *sim.Proc, path string) ([]string, error) {
-	return nil, gluster.ErrNotExist
+func (c *Client) Readdir(t *sim.Task, path string, k func([]string, error)) {
+	k(nil, gluster.ErrNotExist)
 }
 
 // Truncate implements gluster.FS (not used by the Fig. 1 workload).
-func (c *Client) Truncate(p *sim.Proc, path string, size int64) error {
-	return gluster.ErrNotExist
+func (c *Client) Truncate(t *sim.Task, path string, size int64, k func(error)) {
+	k(gluster.ErrNotExist)
 }

@@ -25,19 +25,19 @@ func TestNFSRoundTrip(t *testing.T) {
 	env, _, cls := deploy(t, fabric.IPoIB, 1<<30, 1)
 	env.Process("t", func(p *sim.Proc) {
 		c := cls[0]
-		fd, err := c.Create(p, "/f")
+		fd, err := blocking(c).Create(p, "/f")
 		if err != nil {
 			t.Fatal(err)
 		}
 		payload := blob.Synthetic(1, 0, 128<<10)
-		if _, err := c.Write(p, fd, 0, payload); err != nil {
+		if _, err := blocking(c).Write(p, fd, 0, payload); err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Read(p, fd, 0, 128<<10)
+		got, err := blocking(c).Read(p, fd, 0, 128<<10)
 		if err != nil || !got.Equal(payload) {
 			t.Errorf("read-back mismatch: %v", err)
 		}
-		st, err := c.Stat(p, "/f")
+		st, err := blocking(c).Stat(p, "/f")
 		if err != nil || st.Size != 128<<10 {
 			t.Errorf("stat = %+v, %v", st, err)
 		}
@@ -49,10 +49,10 @@ func TestNFSErrors(t *testing.T) {
 	env, _, cls := deploy(t, fabric.GigE, 1<<30, 1)
 	env.Process("t", func(p *sim.Proc) {
 		c := cls[0]
-		if _, err := c.Open(p, "/missing"); err == nil {
+		if _, err := blocking(c).Open(p, "/missing"); err == nil {
 			t.Error("open of missing file succeeded")
 		}
-		if err := c.Unlink(p, "/missing"); err == nil {
+		if err := blocking(c).Unlink(p, "/missing"); err == nil {
 			t.Error("unlink of missing file succeeded")
 		}
 	})
@@ -68,11 +68,11 @@ func readThroughput(t *testing.T, tr fabric.Transport, memBytes, fileSize int64,
 	// Populate files.
 	env.Process("setup", func(p *sim.Proc) {
 		for i, c := range cls {
-			fd, _ := c.Create(p, fmt.Sprintf("/f%d", i))
+			fd, _ := blocking(c).Create(p, fmt.Sprintf("/f%d", i))
 			for off := int64(0); off < fileSize; off += record {
-				c.Write(p, fd, off, blob.Synthetic(uint64(i+1), off, record))
+				blocking(c).Write(p, fd, off, blob.Synthetic(uint64(i+1), off, record))
 			}
-			c.Close(p, fd)
+			blocking(c).Close(p, fd)
 		}
 	})
 	env.Run()
@@ -83,9 +83,9 @@ func readThroughput(t *testing.T, tr fabric.Transport, memBytes, fileSize int64,
 	for i, c := range cls {
 		i, c := i, c
 		env.Process("reader", func(p *sim.Proc) {
-			fd, _ := c.Open(p, fmt.Sprintf("/f%d", i))
+			fd, _ := blocking(c).Open(p, fmt.Sprintf("/f%d", i))
 			for off := int64(0); off < fileSize; off += record {
-				c.Read(p, fd, off, record)
+				blocking(c).Read(p, fd, off, record)
 			}
 			if p.Now() > last {
 				last = p.Now()

@@ -264,3 +264,45 @@ func TestCollectorKeep(t *testing.T) {
 		}
 	}
 }
+
+// TestAwaitSpansNest: an operation a script runs through sim.Await opens
+// its spans on the process's context task, which shares the process's
+// context slot — so they nest under the script's current span exactly as
+// spans opened by the process itself would.
+func TestAwaitSpansNest(t *testing.T) {
+	env := sim.NewEnv()
+	col := NewCollector()
+	col.Keep = true
+	env.Process("script", func(p *sim.Proc) {
+		col.Begin(p, "read")
+		root := StartSpan(p, LayerOp, "read")
+		sim.Await(p, func(tk *sim.Task, done func()) {
+			sp := StartSpan(tk, LayerFuse, "read")
+			tk.Sleep(10*time.Microsecond, func() {
+				sp.End(tk)
+				done()
+			})
+		})
+		root.End(p)
+		col.End(p)
+	})
+	env.Run()
+	ops := col.Ops()
+	if len(ops) != 1 || len(ops[0].Spans) != 2 {
+		t.Fatalf("got %d ops, want one with two spans", len(ops))
+	}
+	var inner, outer *Span
+	for _, s := range ops[0].Spans {
+		if s.Layer == LayerFuse {
+			inner = s
+		} else {
+			outer = s
+		}
+	}
+	if inner == nil || outer == nil || inner.parent != outer || inner.Depth() != outer.Depth()+1 {
+		t.Fatalf("Await span did not nest under the script's span: %+v", ops[0].Spans)
+	}
+	if outer.Self() != 0 || inner.Dur() != 10*time.Microsecond {
+		t.Errorf("root self %v, inner %v; want 0 and 10µs", outer.Self(), inner.Dur())
+	}
+}

@@ -169,6 +169,11 @@ type Env struct {
 	tasksLive int // tasks started and not yet ended
 	nextTID   int
 
+	// running is the process whose goroutine holds control, or nil in
+	// scheduler context; Await uses it to refuse an inline wake-up from
+	// process context.
+	running *Proc
+
 	// procFree recycles finished Procs — struct, handshake channel, and
 	// prebound starter — so spawning a process in steady state allocates
 	// nothing but the goroutine itself (whose stack the Go runtime also
@@ -244,6 +249,9 @@ type Proc struct {
 	done   *Event
 	ended  bool
 	ctx    interface{}
+	// task is the context task Await runs operations on, created on
+	// first use and kept across pooled lives.
+	task *Task
 
 	// body holds the process function between Process and the starter
 	// event firing; start is the prebound starter closure, created once
@@ -323,8 +331,10 @@ func (e *Env) Process(name string, fn func(p *Proc)) *Proc {
 		p.start = func() {
 			body := p.body
 			p.body = nil
+			p.env.running = p
 			go p.run(body)  //imcalint:allow nogoroutine the kernel itself multiplexes process goroutines one at a time
 			<-p.env.yielded //imcalint:allow nogoroutine kernel handshake: wait for the new process to yield
+			p.env.running = nil
 		}
 	}
 	p.body = fn
@@ -385,8 +395,10 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // wake delivers a resume to p and waits for it to yield again. Must be
 // called in scheduler context only.
 func (e *Env) wake(p *Proc) {
+	e.running = p
 	p.resume <- struct{}{} //imcalint:allow nogoroutine kernel handshake: resume the woken process
 	<-e.yielded            //imcalint:allow nogoroutine kernel handshake: wait for it to yield again
+	e.running = nil
 }
 
 // SetTick installs fn as the environment's tick observer: it is invoked

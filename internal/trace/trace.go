@@ -137,100 +137,101 @@ func (r *Recorder) log(kind Kind, path string, off, size int64, seed uint64) {
 }
 
 // Create implements gluster.FS.
-func (r *Recorder) Create(p *sim.Proc, path string) (gluster.FD, error) {
-	fd, err := r.child.Create(p, path)
-	if err == nil {
-		r.paths[fd] = path
-		r.log(OpCreate, path, 0, 0, 0)
-	}
-	return fd, err
+func (r *Recorder) Create(t *sim.Task, path string, k func(gluster.FD, error)) {
+	r.child.Create(t, path, func(fd gluster.FD, err error) {
+		if err == nil {
+			r.paths[fd] = path
+			r.log(OpCreate, path, 0, 0, 0)
+		}
+		k(fd, err)
+	})
 }
 
 // Open implements gluster.FS.
-func (r *Recorder) Open(p *sim.Proc, path string) (gluster.FD, error) {
-	fd, err := r.child.Open(p, path)
-	if err == nil {
-		r.paths[fd] = path
-		r.log(OpOpen, path, 0, 0, 0)
-	}
-	return fd, err
+func (r *Recorder) Open(t *sim.Task, path string, k func(gluster.FD, error)) {
+	r.child.Open(t, path, func(fd gluster.FD, err error) {
+		if err == nil {
+			r.paths[fd] = path
+			r.log(OpOpen, path, 0, 0, 0)
+		}
+		k(fd, err)
+	})
 }
 
 // Close implements gluster.FS.
-func (r *Recorder) Close(p *sim.Proc, fd gluster.FD) error {
+func (r *Recorder) Close(t *sim.Task, fd gluster.FD, k func(error)) {
 	if path, ok := r.paths[fd]; ok {
 		r.log(OpClose, path, 0, 0, 0)
 		delete(r.paths, fd)
 	}
-	return r.child.Close(p, fd)
+	r.child.Close(t, fd, k)
 }
 
 // Read implements gluster.FS.
-func (r *Recorder) Read(p *sim.Proc, fd gluster.FD, off, size int64) (blob.Blob, error) {
-	data, err := r.child.Read(p, fd, off, size)
-	if err == nil {
-		if path, ok := r.paths[fd]; ok {
+func (r *Recorder) Read(t *sim.Task, fd gluster.FD, off, size int64, k func(blob.Blob, error)) {
+	r.child.Read(t, fd, off, size, func(data blob.Blob, err error) {
+		if path, ok := r.paths[fd]; ok && err == nil {
 			r.log(OpRead, path, off, size, 0)
 		}
-	}
-	return data, err
+		k(data, err)
+	})
 }
 
 // Write implements gluster.FS. The payload's identity is reduced to a
 // seed; replay regenerates equivalent synthetic bytes.
-func (r *Recorder) Write(p *sim.Proc, fd gluster.FD, off int64, data blob.Blob) (int64, error) {
-	n, err := r.child.Write(p, fd, off, data)
-	if err == nil {
-		if path, ok := r.paths[fd]; ok {
+func (r *Recorder) Write(t *sim.Task, fd gluster.FD, off int64, data blob.Blob, k func(int64, error)) {
+	r.child.Write(t, fd, off, data, func(n int64, err error) {
+		if path, ok := r.paths[fd]; ok && err == nil {
 			r.log(OpWrite, path, off, data.Len(), data.Checksum())
 		}
-	}
-	return n, err
+		k(n, err)
+	})
 }
 
 // Stat implements gluster.FS.
-func (r *Recorder) Stat(p *sim.Proc, path string) (*gluster.Stat, error) {
-	st, err := r.child.Stat(p, path)
-	if err == nil {
-		r.log(OpStat, path, 0, 0, 0)
-	}
-	return st, err
+func (r *Recorder) Stat(t *sim.Task, path string, k func(*gluster.Stat, error)) {
+	r.child.Stat(t, path, func(st *gluster.Stat, err error) {
+		if err == nil {
+			r.log(OpStat, path, 0, 0, 0)
+		}
+		k(st, err)
+	})
 }
 
 // Unlink implements gluster.FS.
-func (r *Recorder) Unlink(p *sim.Proc, path string) error {
-	err := r.child.Unlink(p, path)
-	if err == nil {
-		r.log(OpUnlink, path, 0, 0, 0)
-	}
-	return err
+func (r *Recorder) Unlink(t *sim.Task, path string, k func(error)) {
+	r.child.Unlink(t, path, r.logged(OpUnlink, path, 0, k))
 }
 
 // Mkdir implements gluster.FS.
-func (r *Recorder) Mkdir(p *sim.Proc, path string) error {
-	err := r.child.Mkdir(p, path)
-	if err == nil {
-		r.log(OpMkdir, path, 0, 0, 0)
-	}
-	return err
+func (r *Recorder) Mkdir(t *sim.Task, path string, k func(error)) {
+	r.child.Mkdir(t, path, r.logged(OpMkdir, path, 0, k))
 }
 
 // Readdir implements gluster.FS.
-func (r *Recorder) Readdir(p *sim.Proc, path string) ([]string, error) {
-	names, err := r.child.Readdir(p, path)
-	if err == nil {
-		r.log(OpReaddir, path, 0, 0, 0)
-	}
-	return names, err
+func (r *Recorder) Readdir(t *sim.Task, path string, k func([]string, error)) {
+	r.child.Readdir(t, path, func(names []string, err error) {
+		if err == nil {
+			r.log(OpReaddir, path, 0, 0, 0)
+		}
+		k(names, err)
+	})
 }
 
 // Truncate implements gluster.FS.
-func (r *Recorder) Truncate(p *sim.Proc, path string, size int64) error {
-	err := r.child.Truncate(p, path, size)
-	if err == nil {
-		r.log(OpTruncate, path, 0, size, 0)
+func (r *Recorder) Truncate(t *sim.Task, path string, size int64, k func(error)) {
+	r.child.Truncate(t, path, size, r.logged(OpTruncate, path, size, k))
+}
+
+// logged wraps an error-only continuation so a successful operation is
+// appended to the trace before k runs.
+func (r *Recorder) logged(kind Kind, path string, size int64, k func(error)) func(error) {
+	return func(err error) {
+		if err == nil {
+			r.log(kind, path, 0, size, 0)
+		}
+		k(err)
 	}
-	return err
 }
 
 // Result summarizes a replay.
@@ -267,9 +268,9 @@ func Replay(env *sim.Env, mounts []gluster.FS, t *Trace) *Result {
 	if len(per) == 0 {
 		return res
 	}
-	// Spawn replay processes in sorted client order: process creation
-	// order feeds event sequence numbers, so iterating the map here would
-	// make two replays of the same trace interleave differently.
+	// Start replay tasks in sorted client order: task creation order
+	// feeds event sequence numbers, so iterating the map here would make
+	// two replays of the same trace interleave differently.
 	clients := make([]int, 0, len(per))
 	for client := range per {
 		clients = append(clients, client)
@@ -281,25 +282,35 @@ func Replay(env *sim.Env, mounts []gluster.FS, t *Trace) *Result {
 	for _, client := range clients {
 		ops := per[client]
 		fs := mounts[client%len(mounts)]
-		env.Process(fmt.Sprintf("replay-%d", client), func(p *sim.Proc) {
+		env.StartTask(fmt.Sprintf("replay-%d", client), func(tk *sim.Task) {
 			fds := make(map[string]gluster.FD)
-			bar.Wait(p)
-			if !started {
-				started = true
-				start = p.Now()
-			}
-			for _, op := range ops {
-				t0 := p.Now()
-				err := applyOp(p, fs, fds, op)
-				res.OpCounts[op.Kind]++
-				res.OpTime[op.Kind] += p.Now().Sub(t0)
-				if err != nil {
-					res.Errors++
+			var step func(i int)
+			step = func(i int) {
+				if i == len(ops) {
+					if tk.Now() > end {
+						end = tk.Now()
+					}
+					tk.End()
+					return
 				}
+				op := ops[i]
+				t0 := tk.Now()
+				applyOp(tk, fs, fds, op, func(err error) {
+					res.OpCounts[op.Kind]++
+					res.OpTime[op.Kind] += tk.Now().Sub(t0)
+					if err != nil {
+						res.Errors++
+					}
+					step(i + 1)
+				})
 			}
-			if p.Now() > end {
-				end = p.Now()
-			}
+			bar.WaitT(tk, func() {
+				if !started {
+					started = true
+					start = tk.Now()
+				}
+				step(0)
+			})
 		})
 	}
 	env.Run()
@@ -307,67 +318,62 @@ func Replay(env *sim.Env, mounts []gluster.FS, t *Trace) *Result {
 	return res
 }
 
-func applyOp(p *sim.Proc, fs gluster.FS, fds map[string]gluster.FD, op Op) error {
-	ensureFD := func() (gluster.FD, error) {
+func applyOp(t *sim.Task, fs gluster.FS, fds map[string]gluster.FD, op Op, k func(error)) {
+	// withFD runs use on the path's open descriptor, opening it first if
+	// this client has none.
+	withFD := func(use func(gluster.FD)) {
 		if fd, ok := fds[op.Path]; ok {
-			return fd, nil
+			use(fd)
+			return
 		}
-		fd, err := fs.Open(p, op.Path)
-		if err != nil {
-			return 0, err
+		fs.Open(t, op.Path, func(fd gluster.FD, err error) {
+			if err != nil {
+				k(err)
+				return
+			}
+			fds[op.Path] = fd
+			use(fd)
+		})
+	}
+	opened := func(fd gluster.FD, err error) {
+		if err == nil {
+			fds[op.Path] = fd
 		}
-		fds[op.Path] = fd
-		return fd, nil
+		k(err)
 	}
 	switch op.Kind {
 	case OpCreate:
-		fd, err := fs.Create(p, op.Path)
-		if err != nil {
-			return err
-		}
-		fds[op.Path] = fd
-		return nil
+		fs.Create(t, op.Path, opened)
 	case OpOpen:
-		fd, err := fs.Open(p, op.Path)
-		if err != nil {
-			return err
-		}
-		fds[op.Path] = fd
-		return nil
+		fs.Open(t, op.Path, opened)
 	case OpClose:
 		fd, ok := fds[op.Path]
 		if !ok {
-			return gluster.ErrBadFD
+			k(gluster.ErrBadFD)
+			return
 		}
 		delete(fds, op.Path)
-		return fs.Close(p, fd)
+		fs.Close(t, fd, k)
 	case OpRead:
-		fd, err := ensureFD()
-		if err != nil {
-			return err
-		}
-		_, err = fs.Read(p, fd, op.Off, op.Size)
-		return err
+		withFD(func(fd gluster.FD) {
+			fs.Read(t, fd, op.Off, op.Size, func(_ blob.Blob, err error) { k(err) })
+		})
 	case OpWrite:
-		fd, err := ensureFD()
-		if err != nil {
-			return err
-		}
-		_, err = fs.Write(p, fd, op.Off, blob.Synthetic(op.Seed|1, op.Off, op.Size))
-		return err
+		withFD(func(fd gluster.FD) {
+			data := blob.Synthetic(op.Seed|1, op.Off, op.Size)
+			fs.Write(t, fd, op.Off, data, func(_ int64, err error) { k(err) })
+		})
 	case OpStat:
-		_, err := fs.Stat(p, op.Path)
-		return err
+		fs.Stat(t, op.Path, func(_ *gluster.Stat, err error) { k(err) })
 	case OpUnlink:
-		return fs.Unlink(p, op.Path)
+		fs.Unlink(t, op.Path, k)
 	case OpMkdir:
-		return fs.Mkdir(p, op.Path)
+		fs.Mkdir(t, op.Path, k)
 	case OpReaddir:
-		_, err := fs.Readdir(p, op.Path)
-		return err
+		fs.Readdir(t, op.Path, func(_ []string, err error) { k(err) })
 	case OpTruncate:
-		return fs.Truncate(p, op.Path, op.Size)
+		fs.Truncate(t, op.Path, op.Size, k)
 	default:
-		return fmt.Errorf("trace: unknown op kind %q", op.Kind)
+		k(fmt.Errorf("trace: unknown op kind %q", op.Kind))
 	}
 }

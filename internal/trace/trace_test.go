@@ -17,20 +17,20 @@ func record(t *testing.T) *Trace {
 	rec0 := NewRecorder(c.Mounts[0].FS, tr, 0)
 	rec1 := NewRecorder(c.Mounts[1].FS, tr, 1)
 	c.Env.Process("driver", func(p *sim.Proc) {
-		fd, err := rec0.Create(p, "/t/a")
+		fd, err := blocking(rec0).Create(p, "/t/a")
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec0.Write(p, fd, 0, blob.Synthetic(3, 0, 8192))
-		rec0.Read(p, fd, 100, 200)
-		rec0.Stat(p, "/t/a")
-		rec0.Close(p, fd)
+		blocking(rec0).Write(p, fd, 0, blob.Synthetic(3, 0, 8192))
+		blocking(rec0).Read(p, fd, 100, 200)
+		blocking(rec0).Stat(p, "/t/a")
+		blocking(rec0).Close(p, fd)
 
-		fd1, _ := rec1.Create(p, "/t/b")
-		rec1.Write(p, fd1, 4096, blob.Synthetic(4, 4096, 1000))
-		rec1.Read(p, fd1, 0, 5096)
-		rec1.Close(p, fd1)
-		rec1.Unlink(p, "/t/b")
+		fd1, _ := blocking(rec1).Create(p, "/t/b")
+		blocking(rec1).Write(p, fd1, 4096, blob.Synthetic(4, 4096, 1000))
+		blocking(rec1).Read(p, fd1, 0, 5096)
+		blocking(rec1).Close(p, fd1)
+		blocking(rec1).Unlink(p, "/t/b")
 	})
 	c.Env.Run()
 	return tr
@@ -114,10 +114,10 @@ func TestReplayAgainstFreshCluster(t *testing.T) {
 	}
 	// The replayed namespace reflects the trace: /t/a exists, /t/b gone.
 	c.Env.Process("verify", func(p *sim.Proc) {
-		if _, err := c.Mounts[0].FS.Stat(p, "/t/a"); err != nil {
+		if _, err := blocking(c.Mounts[0].FS).Stat(p, "/t/a"); err != nil {
 			t.Errorf("stat /t/a after replay: %v", err)
 		}
-		if _, err := c.Mounts[0].FS.Stat(p, "/t/b"); err == nil {
+		if _, err := blocking(c.Mounts[0].FS).Stat(p, "/t/b"); err == nil {
 			t.Error("/t/b exists after replayed unlink")
 		}
 	})
@@ -171,12 +171,12 @@ func TestRecorderAndReplayDirectoryOps(t *testing.T) {
 	tr := &Trace{}
 	rec := NewRecorder(c.Mounts[0].FS, tr, 0)
 	c.Env.Process("t", func(p *sim.Proc) {
-		rec.Mkdir(p, "/dirs/sub")
-		fd, _ := rec.Create(p, "/dirs/sub/f")
-		rec.Write(p, fd, 0, blob.Synthetic(1, 0, 100))
-		rec.Truncate(p, "/dirs/sub/f", 10)
-		rec.Readdir(p, "/dirs/sub")
-		rec.Close(p, fd)
+		blocking(rec).Mkdir(p, "/dirs/sub")
+		fd, _ := blocking(rec).Create(p, "/dirs/sub/f")
+		blocking(rec).Write(p, fd, 0, blob.Synthetic(1, 0, 100))
+		blocking(rec).Truncate(p, "/dirs/sub/f", 10)
+		blocking(rec).Readdir(p, "/dirs/sub")
+		blocking(rec).Close(p, fd)
 	})
 	c.Env.Run()
 	kinds := map[Kind]bool{}
@@ -196,7 +196,7 @@ func TestRecorderAndReplayDirectoryOps(t *testing.T) {
 		t.Fatalf("replay errors: %d", res.Errors)
 	}
 	c2.Env.Process("verify", func(p *sim.Proc) {
-		st, err := c2.Mounts[0].FS.Stat(p, "/dirs/sub/f")
+		st, err := blocking(c2.Mounts[0].FS).Stat(p, "/dirs/sub/f")
 		if err != nil || st.Size != 10 {
 			t.Errorf("replayed truncate: %+v, %v", st, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"imca/internal/cluster"
-	"imca/internal/gluster"
 )
 
 func openLoopOpts() OpenLoopOptions {
@@ -92,73 +91,5 @@ func TestOpenLoopZipfSkew(t *testing.T) {
 	}
 	if run.KeyReads[0] < tail/8 {
 		t.Errorf("head %d reads vs whole second half %d: skew too weak", run.KeyReads[0], tail)
-	}
-}
-
-// procOnly hides any TaskFS implementation, forcing the process engine:
-// only the embedded interface's blocking methods are promoted.
-type procOnly struct{ gluster.FS }
-
-func TestOpenLoopRequiresTaskEngine(t *testing.T) {
-	c := openLoopCluster()
-	wrapped := make([]gluster.FS, 0, len(c.Mounts))
-	for _, fs := range c.FSes() {
-		wrapped = append(wrapped, procOnly{fs})
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("open-loop generator accepted proc-only mounts")
-		}
-	}()
-	OpenLoop(c.Env, wrapped, openLoopOpts())
-}
-
-// TestEngineEquivalence is the refactor's core guarantee at workload
-// level: the same closed-loop benchmark on identical deployments produces
-// identical virtual-time results whether the clients run as tasks or as
-// parked processes.
-func TestEngineEquivalence(t *testing.T) {
-	newOpts := func() cluster.Options {
-		return cluster.Options{Clients: 4, MCDs: 2, MCDMemBytes: 64 << 20, BlockSize: 2048}
-	}
-	latOpts := LatencyOptions{Dir: "/eq", RecordSizes: []int64{256, 2048}, Records: 32}
-
-	taskC := cluster.New(newOpts())
-	if taskMounts(taskC.FSes()) == nil {
-		t.Fatal("IMCa mounts should be task-capable")
-	}
-	taskRes := Latency(taskC.Env, taskC.FSes(), latOpts)
-
-	procC := cluster.New(newOpts())
-	wrapped := make([]gluster.FS, 0, 4)
-	for _, fs := range procC.FSes() {
-		wrapped = append(wrapped, procOnly{fs})
-	}
-	if taskMounts(wrapped) != nil {
-		t.Fatal("wrapped mounts should not be task-capable")
-	}
-	procRes := Latency(procC.Env, wrapped, latOpts)
-
-	for _, r := range latOpts.RecordSizes {
-		if taskRes.Write[r] != procRes.Write[r] {
-			t.Errorf("write latency at %d differs: task %v, proc %v", r, taskRes.Write[r], procRes.Write[r])
-		}
-		if taskRes.Read[r] != procRes.Read[r] {
-			t.Errorf("read latency at %d differs: task %v, proc %v", r, taskRes.Read[r], procRes.Read[r])
-		}
-	}
-
-	// And the metadata benchmark, which exercises create/stat/unlink and
-	// consecutive barrier generations.
-	mdT := cluster.New(newOpts())
-	mdTRes := MDTest(mdT.Env, mdT.FSes(), MDTestOptions{Dir: "/md", FilesPerClient: 16})
-	mdP := cluster.New(newOpts())
-	wrapped = wrapped[:0]
-	for _, fs := range mdP.FSes() {
-		wrapped = append(wrapped, procOnly{fs})
-	}
-	mdPRes := MDTest(mdP.Env, wrapped, MDTestOptions{Dir: "/md", FilesPerClient: 16})
-	if mdTRes != mdPRes {
-		t.Errorf("mdtest differs across engines: task %+v, proc %+v", mdTRes, mdPRes)
 	}
 }
