@@ -58,7 +58,6 @@ type Task struct {
 func (e *Env) StartTask(name string, fn func(t *Task)) *Task {
 	e.nextTID++
 	t := &Task{env: e, name: name, tid: e.nextTID}
-	t.done = NewEvent(e)
 	e.tasksLive++
 	e.schedule(e.now, nil, func() { fn(t) })
 	return t
@@ -86,8 +85,18 @@ func (t *Task) Env() *Env { return t.env }
 // Now returns the current virtual time.
 func (t *Task) Now() Time { return t.env.now }
 
-// Done returns an event triggered when the task calls End.
-func (t *Task) Done() *Event { return t.done }
+// Done returns an event triggered when the task calls End. Like
+// Proc.Done, the event is created on first use: most tasks are never
+// watched, and an unwatched task then costs one allocation less.
+func (t *Task) Done() *Event {
+	if t.done == nil {
+		t.done = NewEvent(t.env)
+		if t.ended {
+			t.done.Trigger(nil)
+		}
+	}
+	return t.done
+}
 
 // Ctx returns the task's context slot, or nil; see Proc.Ctx.
 func (t *Task) Ctx() interface{} { return t.ctx }
@@ -116,5 +125,7 @@ func (t *Task) End() {
 	}
 	t.ended = true
 	t.env.tasksLive--
-	t.done.Trigger(nil)
+	if t.done != nil {
+		t.done.Trigger(nil)
+	}
 }
