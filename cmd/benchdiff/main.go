@@ -130,36 +130,33 @@ var requiredRoots = []string{
 	"internal/pagecache.Cache.Insert",
 }
 
-// checkLintRoots warns (without failing the run) about benchmarked hot
-// paths missing a lint root annotation. It needs the module source, so it
-// only works when benchdiff runs inside the repository.
-func checkLintRoots() {
+// checkLintRoots returns the hot paths in required that carry no
+// //imcalint:hotpath annotation. It needs the module source, so it only
+// works when benchdiff runs inside the repository.
+func checkLintRoots(required []string) ([]string, error) {
 	cwd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: -lint-roots: %v\n", err)
-		return
+		return nil, err
 	}
 	root, err := lint.FindModuleRoot(cwd)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: -lint-roots needs to run inside the module: %v\n", err)
-		return
+		return nil, fmt.Errorf("needs to run inside the module: %w", err)
 	}
 	roots, err := lint.HotPathRoots(root, []string{"./internal/..."})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: -lint-roots: %v\n", err)
-		return
+		return nil, err
 	}
 	annotated := make(map[string]bool, len(roots))
 	for _, r := range roots {
 		annotated[r.Name] = true
 	}
-	for _, name := range requiredRoots {
+	var missing []string
+	for _, name := range required {
 		if !annotated[name] {
-			fmt.Fprintf(os.Stderr,
-				"benchdiff: warning: benchmarked hot path %s has no //imcalint:hotpath annotation — the al/ev column is unguarded by imcalint's allocfree check\n",
-				name)
+			missing = append(missing, name)
 		}
 	}
+	return missing, nil
 }
 
 func main() {
@@ -170,14 +167,26 @@ func main() {
 	perFigure := flag.Bool("per-figure", false,
 		"apply the bound to every figure, not just the aggregate")
 	lintRoots := flag.Bool("lint-roots", false,
-		"warn when a benchmarked hot path lacks an //imcalint:hotpath annotation")
+		"fail when a benchmarked hot path lacks an //imcalint:hotpath annotation")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: benchdiff [flags] baseline.json after.json\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	if *lintRoots {
-		checkLintRoots()
+		missing, err := checkLintRoots(requiredRoots)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchdiff: -lint-roots: %v\n", err)
+			os.Exit(2)
+		}
+		for _, name := range missing {
+			fmt.Fprintf(os.Stderr,
+				"benchdiff: benchmarked hot path %s has no //imcalint:hotpath annotation — the al/ev column is unguarded by imcalint's allocfree check\n",
+				name)
+		}
+		if len(missing) > 0 {
+			os.Exit(1)
+		}
 		if flag.NArg() == 0 {
 			os.Exit(0) // standalone annotation audit, no files to diff
 		}

@@ -135,3 +135,23 @@ func TestAggregateAllocsPerEvent(t *testing.T) {
 		t.Errorf("aggregate allocs/event = %v, want 5", al)
 	}
 }
+
+// TestLintRootsMissing: every benchmarked hot path in the tree is
+// annotated, and a root nobody annotated is reported as missing.
+func TestLintRootsMissing(t *testing.T) {
+	missing, err := checkLintRoots(requiredRoots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(missing) != 0 {
+		t.Errorf("annotated roots reported missing: %v", missing)
+	}
+	const absent = "internal/sim.Env.NoSuchHotPath"
+	missing, err = checkLintRoots(append([]string{absent}, requiredRoots...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(missing) != 1 || missing[0] != absent {
+		t.Errorf("missing = %v, want [%s]", missing, absent)
+	}
+}

@@ -68,7 +68,7 @@ func (d *Disk) Access(t *sim.Task, addr, size int64, write bool, k func()) {
 	if size < 0 || addr < 0 {
 		panic("disk: negative access")
 	}
-	d.arm.AcquireT(t, 1, func() {
+	d.arm.Acquire(t, 1, func() {
 		cost := sim.Duration(0)
 		if addr != d.lastEnd {
 			cost += d.params.SeekTime
@@ -230,7 +230,7 @@ func (a *Array) Access(t *sim.Task, addr, size int64, write bool, k func()) {
 			k()
 			return
 		}
-		events[i].WaitT(t, func(interface{}) { join(i + 1) })
+		events[i].Wait(t, func(interface{}) { join(i + 1) })
 	}
 	join(0)
 }

@@ -100,6 +100,84 @@ func TestFig6cShape(t *testing.T) {
 	}
 }
 
+func TestFig6bShape(t *testing.T) {
+	res := Fig6b(tiny)
+	if res.Table.Rows() != 6 { // 4K..128K powers of two
+		t.Fatalf("rows = %d", res.Table.Rows())
+	}
+	// Large records: a 2K-block cache still beats the uncached server.
+	for i := 0; i < res.Table.Rows(); i++ {
+		if im, nc := res.Table.Value(i, "IMCa-2K"), res.Table.Value(i, "NoCache"); im >= nc {
+			t.Errorf("row %s: IMCa-2K (%f µs) not below NoCache (%f µs)", res.Table.X(i), im, nc)
+		}
+	}
+}
+
+// checkFig7Bank asserts fig7's bank ordering on every row: adding MCDs
+// never raises 32-client latency, and one MCD already beats NoCache.
+func checkFig7Bank(t *testing.T, res *Result) {
+	t.Helper()
+	for i := 0; i < res.Table.Rows(); i++ {
+		m1 := res.Table.Value(i, "IMCa(1MCD)")
+		m2 := res.Table.Value(i, "IMCa(2MCD)")
+		m4 := res.Table.Value(i, "IMCa(4MCD)")
+		nc := res.Table.Value(i, "NoCache")
+		if !(m4 <= m2 && m2 <= m1 && m1 < nc) {
+			t.Errorf("row %s: want 4MCD ≤ 2MCD ≤ 1MCD < NoCache, got %f, %f, %f, %f",
+				res.Table.X(i), m4, m2, m1, nc)
+		}
+	}
+}
+
+func TestFig7aShape(t *testing.T) {
+	res := Fig7a(tiny)
+	if res.Table.Rows() != 8 { // 1B..128B powers of two
+		t.Fatalf("rows = %d", res.Table.Rows())
+	}
+	checkFig7Bank(t, res)
+}
+
+func TestFig7bShape(t *testing.T) {
+	res := Fig7b(tiny)
+	if res.Table.Rows() != 8 { // 512B..64K powers of two
+		t.Fatalf("rows = %d", res.Table.Rows())
+	}
+	checkFig7Bank(t, res)
+	last := res.Table.Rows() - 1
+	if x := res.Table.X(last); x != "64K" {
+		t.Fatalf("last row = %s, want 64K", x)
+	}
+	if im, lc := res.Table.Value(last, "IMCa(4MCD)"), res.Table.Value(last, "Lustre-4DS(Cold)"); im >= lc {
+		t.Errorf("64K: IMCa(4MCD) (%f µs) not below Lustre-4DS(Cold) (%f µs)", im, lc)
+	}
+}
+
+func TestFig8Shape(t *testing.T) {
+	for _, fig := range []func(Options) *Result{Fig8a, Fig8b, Fig8c, Fig8d} {
+		res := fig(tiny)
+		t.Run(res.Name, func(t *testing.T) {
+			if res.Table.Rows() != 6 { // 1..32 clients
+				t.Fatalf("rows = %d", res.Table.Rows())
+			}
+			// Latency rises (or holds) as clients are added.
+			for i := 1; i < res.Table.Rows(); i++ {
+				prev, cur := res.Table.Value(i-1, "IMCa(1MCD)"), res.Table.Value(i, "IMCa(1MCD)")
+				if cur < prev {
+					t.Errorf("IMCa(1MCD) fell from %f to %f µs at %s clients", prev, cur, res.Table.X(i))
+				}
+			}
+			last := res.Table.LastRow()
+			if last["IMCa(1MCD)"] >= last["NoCache"] {
+				t.Errorf("IMCa(1MCD) (%f µs) not below NoCache (%f µs) at 32 clients",
+					last["IMCa(1MCD)"], last["NoCache"])
+			}
+			if !strings.Contains(strings.Join(res.Notes, "\n"), "MCD misses at max clients: 0") {
+				t.Errorf("want 0 MCD misses at max clients; notes: %q", res.Notes)
+			}
+		})
+	}
+}
+
 func TestFig10Shape(t *testing.T) {
 	res := Fig10(tiny)
 	last := res.Table.Rows() - 1

@@ -209,6 +209,7 @@ func ExtSharing(o Options) *Result {
 		env.Run()
 
 		bar := sim.NewBarrier(env, nc)
+		arrive := func(t *sim.Task, done func()) { bar.Wait(t, done) }
 		var readTime sim.Duration
 		for i := 0; i < nc; i++ {
 			i := i
@@ -218,13 +219,13 @@ func ExtSharing(o Options) *Result {
 					if i == 0 {
 						_, _ = (gluster.Sync{FS: mounts[0]}).Write(p, fds[0], 0, blob.Synthetic(uint64(r)+2, 0, chunk))
 					}
-					bar.Wait(p)
+					sim.Await(p, arrive)
 					t0 := p.Now()
 					if _, err := fs.Read(p, fds[i], 0, chunk); err != nil {
 						panic(err)
 					}
 					readTime += p.Now().Sub(t0)
-					bar.Wait(p)
+					sim.Await(p, arrive)
 				}
 			})
 		}

@@ -158,8 +158,8 @@ func TestCutLinkAbortsInFlight(t *testing.T) {
 }
 
 // TestCutRacesDeadlineTie: a deadline and a link cut landing at the same
-// virtual instant resolve in the deadline's favour — the same timeout-wins
-// rule Event.WaitUntil applies.
+// virtual instant resolve in the deadline's favour: the timeout wins the
+// tie, as it does for any deadline-guarded call.
 func TestCutRacesDeadlineTie(t *testing.T) {
 	env := sim.NewEnv()
 	net := NewNetwork(env, IPoIB)

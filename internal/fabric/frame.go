@@ -249,7 +249,7 @@ func call(nd, dst *Node, svc *service, t *sim.Task, req Msg, k func(Msg, error))
 	}
 	f.hostReq = tr.hostCost(f.wire)
 
-	nd.CPU.AcquireT(t, 1, f.fnReqCPUHeld)
+	nd.CPU.Acquire(t, 1, f.fnReqCPUHeld)
 }
 
 func (f *callFrame) cutDeadline() {
@@ -275,7 +275,7 @@ func (f *callFrame) reqCPUHeld() { f.env().Defer(f.hostReq, f.fnReqCPUDone) }
 
 func (f *callFrame) reqCPUDone() {
 	f.nd.CPU.Release(1)
-	f.nd.tx.AcquireT(f.t, 1, f.fnTxHeld)
+	f.nd.tx.Acquire(f.t, 1, f.fnTxHeld)
 }
 
 func (f *callFrame) txHeld() { f.env().Defer(f.xmit, f.fnTxDone) }
@@ -287,7 +287,7 @@ func (f *callFrame) txDone() {
 	f.env().Defer(f.lat, f.fnLatDone)
 }
 
-func (f *callFrame) latDone() { f.dst.rx.AcquireT(f.t, 1, f.fnRxHeld) }
+func (f *callFrame) latDone() { f.dst.rx.Acquire(f.t, 1, f.fnRxHeld) }
 
 func (f *callFrame) rxHeld() { f.env().Defer(f.xmit, f.fnRxDone) }
 
@@ -295,7 +295,7 @@ func (f *callFrame) rxDone() {
 	f.dst.rx.Release(1)
 	f.dst.RxBytes += f.wire
 	f.dst.RxMsgs++
-	f.dst.CPU.AcquireT(f.t, 1, f.fnDstCPUHeld)
+	f.dst.CPU.Acquire(f.t, 1, f.fnDstCPUHeld)
 }
 
 func (f *callFrame) dstCPUHeld() { f.env().Defer(f.hostReq, f.fnDstCPUDone) }
@@ -340,9 +340,9 @@ func (f *callFrame) afterRequest() {
 	f.env().Defer(0, f.fnServe)
 	optrace.Fork(t, f.srv)
 	if f.hasDeadline {
-		// Mirror Event.WaitUntilT: the timeout Defer is armed at
-		// registration and a trigger landing exactly on the deadline
-		// instant loses to it. The Defer holds its own reference — it
+		// The timeout Defer is armed at registration, ahead of any
+		// completion continuation, so a trigger landing exactly on the
+		// deadline instant loses to it. The Defer holds its own reference — it
 		// carries a prebound method on this frame, so the frame must not
 		// recycle (and be reissued) before the Defer has fired, even when
 		// the call itself completes early.
@@ -352,15 +352,16 @@ func (f *callFrame) afterRequest() {
 	f.wid = f.done.WaitFn(f.fnRespReady)
 }
 
-// deadlineFired is the timeout side of the completion wait; its logic is
-// WaitUntilT's, transplanted onto the frame. Whatever the outcome, it drops
-// the reference the deadline Defer held.
+// deadlineFired is the timeout side of the completion wait: it withdraws
+// the pending completion, or claims a same-instant trigger for the
+// timeout. Whatever the outcome, it drops the reference the deadline Defer
+// held.
 func (f *callFrame) deadlineFired() {
 	if f.done.Triggered() {
 		// Fired strictly earlier: respReady delivered long ago; nothing to
 		// do. Fired at this very instant: respReady is already scheduled
 		// and reads timedOut to deliver the timeout instead — ties go to
-		// the deadline, as in Event.WaitUntilT.
+		// the deadline.
 		if f.done.TriggeredAt() >= f.deadline {
 			f.timedOut = true
 		}
@@ -402,7 +403,7 @@ func (f *callFrame) respReady() {
 	}
 	// Caller-side protocol processing for the response.
 	f.hostCaller = f.nd.net.transport.hostCost(respSize + headerBytes)
-	f.nd.CPU.AcquireT(t, 1, f.fnCallerCPUHeld)
+	f.nd.CPU.Acquire(t, 1, f.fnCallerCPUHeld)
 }
 
 func (f *callFrame) callerCPUHeld() { f.env().Defer(f.hostCaller, f.fnCallerCPUDone) }
@@ -470,14 +471,14 @@ func (f *callFrame) respond(resp Msg) {
 		f.rlat, f.rxmit = f.ls.scaled(f.rlat, f.rxmit)
 	}
 	f.hostResp = tr.hostCost(f.rwire)
-	f.dst.CPU.AcquireT(f.srv, 1, f.fnRespCPUHeld)
+	f.dst.CPU.Acquire(f.srv, 1, f.fnRespCPUHeld)
 }
 
 func (f *callFrame) respCPUHeld() { f.env().Defer(f.hostResp, f.fnRespCPUDone) }
 
 func (f *callFrame) respCPUDone() {
 	f.dst.CPU.Release(1)
-	f.dst.tx.AcquireT(f.srv, 1, f.fnRespTxHeld)
+	f.dst.tx.Acquire(f.srv, 1, f.fnRespTxHeld)
 }
 
 func (f *callFrame) respTxHeld() { f.env().Defer(f.rxmit, f.fnRespTxDone) }
@@ -489,7 +490,7 @@ func (f *callFrame) respTxDone() {
 	f.env().Defer(f.rlat, f.fnRespLatDone)
 }
 
-func (f *callFrame) respLatDone() { f.nd.rx.AcquireT(f.srv, 1, f.fnRespRxHeld) }
+func (f *callFrame) respLatDone() { f.nd.rx.Acquire(f.srv, 1, f.fnRespRxHeld) }
 
 func (f *callFrame) respRxHeld() { f.env().Defer(f.rxmit, f.fnRespRxDone) }
 

@@ -59,7 +59,7 @@ func NewFuse(node *fabric.Node, child FS, cfg FuseConfig) *Fuse {
 }
 
 func (f *Fuse) charge(t *sim.Task, payload int64, k func()) {
-	f.node.CPU.UseT(t, f.cfg.OpCPU+sim.Duration(float64(payload)*f.cfg.PerByteCPUNanos), k)
+	f.node.CPU.Use(t, f.cfg.OpCPU+sim.Duration(float64(payload)*f.cfg.PerByteCPUNanos), k)
 }
 
 // Create implements FS.
@@ -129,8 +129,8 @@ func (f *Fuse) Write(t *sim.Task, fd FD, off int64, data blob.Blob, k func(int64
 // release, child callback — costs four heap allocations per call. The op
 // carries those continuations as prebound method values instead, so a
 // steady-state stat allocates nothing at this layer. The decomposition
-// AcquireT(1)+Sleep(OpCPU)+Release(1) consumes exactly the schedules
-// charge's Resource.UseT does, keeping runs byte-identical.
+// Acquire(1)+Sleep(OpCPU)+Release(1) consumes exactly the schedules
+// charge's Resource.Use does, keeping runs byte-identical.
 type fuseStatOp struct {
 	f    *Fuse
 	t    *sim.Task
@@ -187,7 +187,7 @@ func (f *Fuse) Stat(t *sim.Task, path string, k func(*Stat, error)) {
 	op.t, op.path, op.k = t, path, k
 	op.sp = optrace.StartSpan(t, optrace.LayerFuse, "stat")
 	op.t0 = t.Now()
-	f.node.CPU.AcquireT(t, 1, op.fnHeld)
+	f.node.CPU.Acquire(t, 1, op.fnHeld)
 }
 
 // Unlink implements FS.

@@ -155,7 +155,7 @@ func TestProtocolIOThreadsThrottleConcurrency(t *testing.T) {
 				if p.Now() > finish {
 					finish = p.Now()
 				}
-				done.Wait(p)
+				sim.Await(p, func(t *sim.Task, k func()) { done.Wait(t, k) })
 			})
 		}
 		env.Run()

@@ -136,7 +136,7 @@ func reqName(req fabric.Msg) string {
 
 func (s *Server) charge(t *sim.Task, payload int64, k func()) {
 	cpu := s.cfg.OpCPU + sim.Duration(float64(payload)*s.cfg.PerByteCPUNanos)
-	s.node.CPU.UseT(t, cpu, k)
+	s.node.CPU.Use(t, cpu, k)
 }
 
 // serverStatOp is the daemon's pooled frame for a task-served stat — the
@@ -220,10 +220,10 @@ func (s *Server) handle(t *sim.Task, from *fabric.Node, req fabric.Msg, respond 
 		// would serve it identically, one closure chain per call.
 		op := s.takeStatOp()
 		op.t, op.r, op.respond, op.sp = t, r, respond, sp
-		s.threads.AcquireT(t, 1, op.fnGranted)
+		s.threads.Acquire(t, 1, op.fnGranted)
 		return
 	}
-	s.threads.AcquireT(t, 1, func() {
+	s.threads.Acquire(t, 1, func() {
 		done := func(m fabric.Msg) {
 			s.threads.Release(1)
 			sp.End(t)

@@ -25,7 +25,7 @@
 //   - nogoroutine: no go statements, channel operations, or sync
 //     primitives anywhere except an explicit host-side allowlist
 //     (Config.HostSide); the kernel runs exactly one goroutine at a time
-//     and concurrency belongs to sim.Chan/sim.Event. Host-side packages
+//     and concurrency belongs to sim tasks and sim.Event/sim.Resource. Host-side packages
 //     (the parallel sweep engine, the real memcached daemon) are exempt
 //     as whole packages rather than line by line, so a new go statement
 //     in simulated code can never hide behind a stale suppression.

@@ -11,7 +11,8 @@ import (
 // time, so go statements, native channels, and sync primitives in
 // simulated code either deadlock, race, or — worst — silently reorder
 // events between runs. Concurrency in simulated code is expressed with
-// sim.Chan, sim.Event, and sim.Resource. The kernel's own goroutine
+// sim tasks (Env.StartTask) coordinating through sim.Event and
+// sim.Resource. The kernel's own goroutine
 // handshake carries explicit suppressions; packages that are genuinely
 // host-side (worker pools, real daemons) are exempted as whole packages
 // via Config.HostSide.
@@ -36,17 +37,17 @@ func checkNoGoroutine(pkg *pkgInfo, cfg *Config) []Finding {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				flag(n.Pos(), "go statement in a sim-side package — spawn sim processes (Env.Process) instead")
+				flag(n.Pos(), "go statement in a sim-side package — start sim tasks (Env.StartTask) instead")
 			case *ast.SendStmt:
-				flag(n.Pos(), "native channel send in a sim-side package — use sim.Chan for virtual-time messaging")
+				flag(n.Pos(), "native channel send in a sim-side package — use sim.Event/sim.Resource for virtual-time coordination")
 			case *ast.UnaryExpr:
 				if n.Op == token.ARROW {
-					flag(n.Pos(), "native channel receive in a sim-side package — use sim.Chan for virtual-time messaging")
+					flag(n.Pos(), "native channel receive in a sim-side package — use sim.Event/sim.Resource for virtual-time coordination")
 				}
 			case *ast.SelectStmt:
-				flag(n.Pos(), "select statement in a sim-side package — use sim.Event/sim.Chan for virtual-time choice")
+				flag(n.Pos(), "select statement in a sim-side package — use sim.Event/sim.Resource for virtual-time coordination")
 			case *ast.ChanType:
-				flag(n.Pos(), "native channel type in a sim-side package — use sim.Chan for virtual-time messaging")
+				flag(n.Pos(), "native channel type in a sim-side package — use sim.Event/sim.Resource for virtual-time coordination")
 				return false // make(chan T) holds the ChanType; one finding is enough
 			}
 			return true

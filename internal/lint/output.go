@@ -40,7 +40,7 @@ var checkHelp = map[string]string{
 	"wallclock":     "simulated code must use the virtual clock, not time.Now/Since/Sleep",
 	"rand":          "randomness must flow from internal/xrand's seeded generators",
 	"maprange":      "map iteration order must not leak into output, returns, registration, or simulated activity",
-	"nogoroutine":   "simulated code is single-threaded; concurrency belongs to sim.Chan/sim.Event",
+	"nogoroutine":   "simulated code is single-threaded; concurrency belongs to sim tasks and sim.Event/sim.Resource",
 	"tickpurity":    "tick observers must never schedule or advance the virtual clock",
 	"allocfree":     "annotated hot paths must not reach heap-allocating constructs",
 	"instrcomplete": "hot-path layers must register their instruments; flight record kinds must be declared constants",

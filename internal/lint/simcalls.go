@@ -20,15 +20,11 @@ var simSchedMethods = map[string]bool{
 	"Env.Process": true, "Env.Run": true, "Env.RunUntil": true, "Env.Defer": true,
 	"Env.StartTask": true,
 	"Env.schedule":  true, "Env.scheduleProc": true, "Env.wake": true,
-	"Proc.Sleep": true, "Proc.Yield": true, "Proc.Spawn": true, "Proc.park": true,
+	"Proc.Sleep": true, "Proc.park": true,
 	"Task.Sleep": true, "Task.End": true,
-	"Event.Wait": true, "Event.WaitUntil": true, "Event.Trigger": true,
-	"Event.WaitT": true, "Event.WaitUntilT": true,
-	"Chan.Send": true, "Chan.TrySend": true, "Chan.Recv": true, "Chan.TryRecv": true,
+	"Event.Wait": true, "Event.Trigger": true,
 	"Resource.Acquire": true, "Resource.Release": true, "Resource.Use": true,
-	"Resource.AcquireT": true, "Resource.UseT": true,
-	"Barrier.Wait": true, "Barrier.WaitT": true,
-	"WaitAll": true,
+	"Barrier.Wait": true,
 }
 
 // calleeFunc resolves a call expression to the function or method object

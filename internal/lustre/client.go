@@ -267,7 +267,7 @@ func (cl *Client) ostIO(t *sim.Task, path string, off int64, data blob.Blob, siz
 			finish(results)
 			return
 		}
-		events[i].WaitT(t, func(interface{}) { join(i + 1) })
+		events[i].Wait(t, func(interface{}) { join(i + 1) })
 	}
 	join(0)
 }
@@ -289,7 +289,7 @@ func (cl *Client) Read(t *sim.Task, fd gluster.FD, off, size int64, k func(blob.
 		k(blob.Blob{}, gluster.ErrBadFD)
 		return
 	}
-	cl.node.CPU.UseT(t, clientOpCPU+sim.Duration(float64(size)*clientPerByteNanos), func() {
+	cl.node.CPU.Use(t, clientOpCPU+sim.Duration(float64(size)*clientPerByteNanos), func() {
 		cl.mdsStatCached(t, path, func(st *gluster.Stat) {
 			if st == nil {
 				k(blob.Blob{}, gluster.ErrNotExist)
@@ -422,7 +422,7 @@ func (cl *Client) Write(t *sim.Task, fd gluster.FD, off int64, data blob.Blob, k
 		k(0, gluster.ErrBadFD)
 		return
 	}
-	cl.node.CPU.UseT(t, clientOpCPU+sim.Duration(float64(data.Len())*clientPerByteNanos), func() {
+	cl.node.CPU.Use(t, clientOpCPU+sim.Duration(float64(data.Len())*clientPerByteNanos), func() {
 		m := cl.cluster.files[path]
 		if m == nil {
 			k(0, gluster.ErrNotExist)

@@ -191,7 +191,7 @@ func (c *Cluster) handleMDS(t *sim.Task, from *fabric.Node, req fabric.Msg, resp
 	op := c.takeMDSOp()
 	op.t, op.r, op.respond = t, req.(*mdsReq), respond
 	c.MDSOps++
-	c.mdsThreads.AcquireT(t, 1, op.fnHeld)
+	c.mdsThreads.Acquire(t, 1, op.fnHeld)
 }
 
 // mdsOp is the MDS's pooled frame for one metadata request: thread grant,
@@ -231,7 +231,7 @@ func (op *mdsOp) release() {
 	op.c.mdsOps = append(op.c.mdsOps, op)
 }
 
-func (op *mdsOp) held() { op.c.mdsNode.CPU.AcquireT(op.t, 1, op.fnCPUHeld) }
+func (op *mdsOp) held() { op.c.mdsNode.CPU.Acquire(op.t, 1, op.fnCPUHeld) }
 
 func (op *mdsOp) cpuHeld() { op.t.Sleep(op.c.cfg.MDSOpCPU, op.fnCPUDone) }
 
@@ -328,8 +328,8 @@ func (r *lockReq) WireSize() int64 { return 32 + int64(len(r.Path)) }
 // holder's cached pages before the writer proceeds.
 func (c *Cluster) handleLock(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
 	r := req.(*lockReq)
-	c.mdsThreads.AcquireT(t, 1, func() {
-		c.mdsNode.CPU.UseT(t, c.cfg.MDSOpCPU, func() {
+	c.mdsThreads.Acquire(t, 1, func() {
+		c.mdsNode.CPU.Use(t, c.cfg.MDSOpCPU, func() {
 			done := func() {
 				c.mdsThreads.Release(1)
 				respond(&mdsResp{})
@@ -397,7 +397,7 @@ func (r *ostResp) WireSize() int64 { return 16 + r.Data.Len() + int64(len(r.Code
 func (c *Cluster) makeOSTHandler(o *ost) fabric.Handler {
 	return func(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
 		r := req.(*ostReq)
-		o.node.CPU.UseT(t, c.cfg.OSTOpCPU, func() {
+		o.node.CPU.Use(t, c.cfg.OSTOpCPU, func() {
 			o.store.Open(t, r.Path, func(fd gluster.FD, err error) {
 				if err == nil {
 					c.serveOST(t, o, r, fd, respond)

@@ -258,7 +258,7 @@ func (c *SimClient) GetMulti(t *sim.Task, keys []string, k func(map[string]*Item
 			k(out)
 			return
 		}
-		events[n].WaitT(t, func(v interface{}) {
+		events[n].Wait(t, func(v interface{}) {
 			r := v.(mcdReply)
 			switch {
 			case r.err != nil:

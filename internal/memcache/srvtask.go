@@ -100,7 +100,7 @@ func (s *SimServer) handle(t *sim.Task, from *fabric.Node, req fabric.Msg, respo
 	}
 	op := s.getOp()
 	op.t, op.req, op.respond, op.sp = t, req, respond, sp
-	s.daemon.AcquireT(t, 1, op.fnDaemonHeld)
+	s.daemon.Acquire(t, 1, op.fnDaemonHeld)
 }
 
 func (op *srvOp) daemonHeld() {
@@ -114,7 +114,7 @@ func (op *srvOp) daemonHeld() {
 	default:
 		panic("memcache: unknown request type")
 	}
-	op.s.node.CPU.AcquireT(op.t, 1, op.fnCPUHeld)
+	op.s.node.CPU.Acquire(op.t, 1, op.fnCPUHeld)
 }
 
 func (op *srvOp) cpuHeld() { op.t.Sleep(op.svcTime, op.fnCPUDone) }
@@ -164,7 +164,7 @@ func (op *srvOp) cpuDone() {
 		if moved > 0 {
 			// Copy-out cost for the hit bytes: a second CPU use.
 			op.svcTime = s.stretch(copyTime(moved))
-			s.node.CPU.AcquireT(op.t, 1, op.fnCopyHeld)
+			s.node.CPU.Acquire(op.t, 1, op.fnCopyHeld)
 			return
 		}
 		op.finish(&op.getResp)

@@ -98,8 +98,8 @@ func (r *nfsResp) WireSize() int64 {
 
 func (s *Server) handle(t *sim.Task, from *fabric.Node, req fabric.Msg, respond func(fabric.Msg)) {
 	r := req.(*nfsReq)
-	s.threads.AcquireT(t, 1, func() {
-		s.node.CPU.UseT(t, s.cfg.OpCPU, func() {
+	s.threads.Acquire(t, 1, func() {
+		s.node.CPU.Use(t, s.cfg.OpCPU, func() {
 			s.serve(t, r, func(resp *nfsResp) {
 				s.threads.Release(1)
 				respond(resp)

@@ -37,8 +37,6 @@ var ErrDeadline = errors.New("optrace: operation deadline exceeded")
 const (
 	LayerOp       = "op"
 	LayerFuse     = "fuse"
-	LayerIOStats  = "iostats"
-	LayerIOCache  = "iocache"
 	LayerCMCache  = "cmcache"
 	LayerMCD      = "mcd"
 	LayerProtocol = "protocol"
@@ -52,9 +50,9 @@ const (
 // layerRank orders known layers for deterministic reports; unknown layers
 // sort after these, alphabetically.
 var layerRank = map[string]int{
-	LayerOp: 0, LayerFuse: 1, LayerIOStats: 2, LayerIOCache: 3,
-	LayerCMCache: 4, LayerMCD: 5, LayerProtocol: 6, LayerNet: 7,
-	LayerMCDSrv: 8, LayerServer: 9, LayerSMCache: 10, LayerPosix: 11,
+	LayerOp: 0, LayerFuse: 1, LayerCMCache: 2, LayerMCD: 3,
+	LayerProtocol: 4, LayerNet: 5, LayerMCDSrv: 6, LayerServer: 7,
+	LayerSMCache: 8, LayerPosix: 9,
 }
 
 // SortLayers orders layer names canonically (stack order, unknowns last).

@@ -90,15 +90,17 @@ func TestForkNesting(t *testing.T) {
 	env.Process("parent", func(p *sim.Proc) {
 		col.Begin(p, "read")
 		root := StartSpan(p, LayerCMCache, "read")
-		done := sim.NewEvent(env)
-		child := p.Spawn("worker", func(q *sim.Proc) {
+		finished := sim.NewEvent(env)
+		child := env.Process("worker", func(q *sim.Proc) {
 			sp := StartSpan(q, LayerMCD, "get")
 			q.Sleep(20 * time.Microsecond)
 			sp.End(q)
-			done.Trigger(nil)
+			finished.Trigger(nil)
 		})
 		Fork(p, child)
-		done.Wait(p)
+		sim.Await(p, func(t *sim.Task, done func()) {
+			finished.Wait(t, func(interface{}) { done() })
+		})
 		root.End(p)
 		op := col.End(p)
 		if len(op.Spans) != 2 {

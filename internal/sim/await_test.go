@@ -73,7 +73,7 @@ func TestAwaitSequential(t *testing.T) {
 	var at []Time
 	env.Process("script", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			Await(p, func(tk *Task, done func()) { res.UseT(tk, time.Millisecond, done) })
+			Await(p, func(tk *Task, done func()) { res.Use(tk, time.Millisecond, done) })
 			at = append(at, p.Now())
 			p.Sleep(time.Millisecond)
 		}

@@ -41,18 +41,27 @@ func BenchmarkTaskDispatch(b *testing.B) {
 
 // BenchmarkDeferredEvent measures the deferred-function fast path plus the
 // deadline-guarded wait built on it: each iteration runs one Defer and one
-// WaitUntil that times out, the shape fabric.Call pays per deadline-carrying
-// RPC. Before the kernel rewrite each timed-out wait cost two helper
-// goroutines, four handshakes, and their event allocations.
+// WaitFn whose timeout fires first and withdraws it, the shape a pooled
+// fabric call frame pays per deadline-carrying RPC.
 func BenchmarkDeferredEvent(b *testing.B) {
 	b.ReportAllocs()
 	env := NewEnv()
-	env.Process("waiter", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
+	env.StartTask("waiter", func(t *Task) {
+		var step func(i int)
+		step = func(i int) {
+			if i == b.N {
+				t.End()
+				return
+			}
 			env.Defer(1, func() {})
 			never := NewEvent(env)
-			never.WaitUntil(p, p.Now().Add(2))
+			id := never.WaitFn(func() { b.Fatal("untriggered event completed") })
+			t.Sleep(2, func() {
+				never.Withdraw(id)
+				step(i + 1)
+			})
 		}
+		step(0)
 	})
 	b.ResetTimer()
 	env.Run()

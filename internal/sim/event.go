@@ -1,9 +1,8 @@
 package sim
 
-// Event is a one-shot notification in virtual time. Processes wait on it;
-// once triggered, all current and future waiters proceed immediately and
-// receive the trigger value. Tasks wait with WaitT/WaitUntilT, receiving
-// the value through a continuation instead of a resumed goroutine.
+// Event is a one-shot notification in virtual time. Tasks wait on it with
+// a continuation; once triggered, all current and future waiters proceed
+// and receive the trigger value.
 type Event struct {
 	env         *Env
 	triggered   bool
@@ -13,14 +12,13 @@ type Event struct {
 	nextWID     uint64
 }
 
-// eventWaiter is one parked process or one pending task continuation.
-// Exactly one of p, fn, and fn0 is set. id identifies a continuation for
-// withdrawal (closures are not comparable, so the token stands in for the
-// pointer identity a *Proc provides). fn0 is the niladic variant used by
-// pooled callers (see WaitFn): because it takes no value, Trigger can
-// schedule it directly instead of wrapping it in a fresh closure.
+// eventWaiter is one pending continuation. Exactly one of fn and fn0 is
+// set. id identifies a WaitFn continuation for withdrawal (closures are
+// not comparable, so the token stands in for their identity). fn0 is the
+// niladic variant used by pooled callers (see WaitFn): because it takes no
+// value, Trigger can schedule it directly instead of wrapping it in a
+// fresh closure.
 type eventWaiter struct {
-	p   *Proc
 	fn  func(v interface{})
 	fn0 func()
 	id  uint64
@@ -35,9 +33,9 @@ func NewEvent(env *Env) *Event {
 func (ev *Event) Triggered() bool { return ev.triggered }
 
 // TriggeredAt returns the instant Trigger ran; meaningful only once
-// Triggered reports true. External deadline machinery (pooled RPC frames)
-// needs it to replay WaitUntilT's tie rule — a trigger landing exactly on
-// the deadline instant loses to the timeout.
+// Triggered reports true. Deadline machinery (pooled RPC frames) needs it
+// for the tie rule: a trigger landing exactly on the deadline instant
+// loses to the timeout.
 func (ev *Event) TriggeredAt() Time { return ev.triggeredAt }
 
 // Value returns the value passed to Trigger, or nil before triggering.
@@ -46,8 +44,7 @@ func (ev *Event) Value() interface{} { return ev.value }
 // Trigger fires the event, waking all waiters at the current instant.
 // Triggering an already-triggered event is a no-op (the first value wins).
 // It may be called from any process or from scheduler context. Each waiter
-// costs one scheduled event, whether it is a process wake-up or a task
-// continuation.
+// costs one scheduled event.
 func (ev *Event) Trigger(v interface{}) {
 	if ev.triggered {
 		return
@@ -57,14 +54,11 @@ func (ev *Event) Trigger(v interface{}) {
 	ev.value = v
 	for i := range ev.waiters {
 		w := &ev.waiters[i]
-		switch {
-		case w.p != nil:
-			ev.env.scheduleProc(w.p, 0)
-		case w.fn0 != nil:
+		if w.fn0 != nil {
 			// Niladic continuations dispatch as-is: the owner reads
 			// Value() itself, so no per-trigger closure is needed.
 			ev.env.schedule(ev.env.now, nil, w.fn0)
-		default:
+		} else {
 			fn := w.fn
 			ev.env.schedule(ev.env.now, nil, func() { fn(ev.value) })
 		}
@@ -75,21 +69,10 @@ func (ev *Event) Trigger(v interface{}) {
 	ev.waiters = ev.waiters[:0]
 }
 
-// Wait parks p until the event triggers and returns the trigger value. If
-// the event has already triggered it returns immediately.
-func (ev *Event) Wait(p *Proc) interface{} {
-	if ev.triggered {
-		return ev.value
-	}
-	ev.waiters = append(ev.waiters, eventWaiter{p: p})
-	p.park()
-	return ev.value
-}
-
-// WaitT arranges for k to receive the trigger value: immediately (inline,
-// consuming no sequence number — mirroring Wait's already-triggered fast
-// path) if the event has fired, otherwise when Trigger runs.
-func (ev *Event) WaitT(t *Task, k func(v interface{})) {
+// Wait arranges for k to receive the trigger value: immediately (inline,
+// consuming no sequence number) if the event has fired, otherwise when
+// Trigger runs.
+func (ev *Event) Wait(t *Task, k func(v interface{})) {
 	if ev.triggered {
 		k(ev.value)
 		return
@@ -97,109 +80,12 @@ func (ev *Event) WaitT(t *Task, k func(v interface{})) {
 	ev.waiters = append(ev.waiters, eventWaiter{fn: k})
 }
 
-// WaitAll parks p until every event in evs has triggered.
-func WaitAll(p *Proc, evs ...*Event) {
-	for _, ev := range evs {
-		ev.Wait(p)
-	}
-}
-
-// WaitUntil parks p until the event triggers or the virtual clock reaches
-// deadline, whichever happens first. It returns (value, true) when the
-// event fired in time and (nil, false) on timeout. If both land on the same
-// instant the timeout wins (it was scheduled first).
-//
-// The timeout side is a deferred function, not a helper process, so a
-// deadline-guarded wait costs no extra goroutines or handshakes: on
-// timeout the deferred function withdraws p from the waiter list before
-// waking it, and if the event fired first the deferred function finds it
-// triggered and does nothing. Either way no stale wake-up is left behind.
-func (ev *Event) WaitUntil(p *Proc, deadline Time) (interface{}, bool) {
-	if ev.triggered {
-		return ev.value, true
-	}
-	if deadline <= p.env.now {
-		return nil, false
-	}
-	timedOut := false
-	p.env.Defer(deadline.Sub(p.env.now), func() {
-		if ev.triggered {
-			if ev.triggeredAt < deadline {
-				return // fired strictly earlier; p resumed long ago
-			}
-			// Fired at the deadline instant: the tie goes to the timeout.
-			// p already holds a pending wake-up from Trigger, so only the
-			// outcome flag changes here.
-			timedOut = true
-			return
-		}
-		for i := range ev.waiters {
-			if ev.waiters[i].p == p {
-				ev.waiters = append(ev.waiters[:i], ev.waiters[i+1:]...)
-				break
-			}
-		}
-		timedOut = true
-		ev.env.scheduleProc(p, 0)
-	})
-	ev.waiters = append(ev.waiters, eventWaiter{p: p})
-	p.park()
-	if timedOut {
-		return nil, false
-	}
-	return ev.value, true
-}
-
-// WaitUntilT is WaitUntil for tasks: k receives (value, true) when the
-// event fires before deadline and (nil, false) on timeout. The schedule
-// consumption and the tie rule (timeout wins at the deadline instant)
-// mirror WaitUntil exactly.
-func (ev *Event) WaitUntilT(t *Task, deadline Time, k func(v interface{}, ok bool)) {
-	if ev.triggered {
-		k(ev.value, true)
-		return
-	}
-	if deadline <= t.env.now {
-		k(nil, false)
-		return
-	}
-	ev.nextWID++
-	id := ev.nextWID
-	timedOut := false
-	t.env.Defer(deadline.Sub(t.env.now), func() {
-		if ev.triggered {
-			if ev.triggeredAt < deadline {
-				return // fired strictly earlier; k already ran
-			}
-			// Fired at the deadline instant: Trigger has already scheduled
-			// the continuation wrapper, which reads this flag.
-			timedOut = true
-			return
-		}
-		for i := range ev.waiters {
-			if ev.waiters[i].id == id {
-				ev.waiters = append(ev.waiters[:i], ev.waiters[i+1:]...)
-				break
-			}
-		}
-		timedOut = true
-		t.env.schedule(t.env.now, nil, func() { k(nil, false) })
-	})
-	ev.waiters = append(ev.waiters, eventWaiter{id: id, fn: func(v interface{}) {
-		if timedOut {
-			k(nil, false)
-			return
-		}
-		k(v, true)
-	}})
-}
-
 // WaitFn arranges for k to run when the event triggers. It is the pooled
-// caller's WaitT: k takes no value (the owner reads Value itself), so the
+// caller's Wait: k takes no value (the owner reads Value itself), so the
 // registration and the eventual dispatch allocate nothing — k is typically
 // a method value bound once on a recycled frame. If the event has already
 // triggered, k runs inline, consuming no sequence number, exactly like
-// WaitT's fast path; otherwise Trigger schedules k directly (one event, as
+// Wait's fast path; otherwise Trigger schedules k directly (one event, as
 // for any waiter). The returned id withdraws the registration via Withdraw
 // and is 0 when k already ran inline.
 func (ev *Event) WaitFn(k func()) uint64 {
@@ -215,8 +101,8 @@ func (ev *Event) WaitFn(k func()) uint64 {
 // Withdraw removes a pending continuation registered by WaitFn before the
 // event triggers, reporting whether it was found. After Trigger has run
 // (or for id 0) there is nothing to withdraw. It is how a pooled frame's
-// deadline path abandons its completion continuation, mirroring the
-// withdrawal WaitUntilT's timeout performs.
+// deadline path abandons its completion continuation when the timeout
+// fires first.
 func (ev *Event) Withdraw(id uint64) bool {
 	if id == 0 {
 		return false

@@ -7,18 +7,23 @@ import (
 	"imca/internal/sim"
 )
 
-// Two processes rendezvous over a virtual-time channel; the whole exchange
-// takes exactly the modeled durations, not wall time.
+// A producer task signals a consumer script through an event; the whole
+// exchange takes exactly the modeled durations, not wall time.
 func Example() {
 	env := sim.NewEnv()
-	ch := sim.NewChan[string](env, 0)
+	ready := sim.NewEvent(env)
 
-	env.Process("producer", func(p *sim.Proc) {
-		p.Sleep(3 * time.Millisecond) // modeled work
-		ch.Send(p, "payload")
+	env.StartTask("producer", func(t *sim.Task) {
+		t.Sleep(3*time.Millisecond, func() { // modeled work
+			ready.Trigger("payload")
+			t.End()
+		})
 	})
 	env.Process("consumer", func(p *sim.Proc) {
-		v := ch.Recv(p)
+		var v interface{}
+		sim.Await(p, func(t *sim.Task, done func()) {
+			ready.Wait(t, func(x interface{}) { v = x; done() })
+		})
 		fmt.Printf("received %q at t=%v\n", v, sim.Duration(p.Now()))
 	})
 
@@ -32,9 +37,11 @@ func ExampleResource() {
 	server := sim.NewResource(env, 2)
 	for i := 0; i < 3; i++ {
 		i := i
-		env.Process("job", func(p *sim.Proc) {
-			server.Use(p, 10*time.Millisecond)
-			fmt.Printf("job %d done at %v\n", i, sim.Duration(p.Now()))
+		env.StartTask("job", func(t *sim.Task) {
+			server.Use(t, 10*time.Millisecond, func() {
+				fmt.Printf("job %d done at %v\n", i, sim.Duration(t.Now()))
+				t.End()
+			})
 		})
 	}
 	env.Run()

@@ -3,8 +3,8 @@ package sim
 // Resource is a counted server with a FIFO queue: up to Capacity units may
 // be held concurrently; further acquirers wait in arrival order. It models
 // contended hardware such as a NIC, a disk arm, or a pool of server
-// threads. Both engines share one queue: a waiter is a parked process or a
-// pending task continuation, admitted in strict arrival order either way.
+// threads. A waiter is a pending task continuation, admitted in strict
+// arrival order.
 type Resource struct {
 	env      *Env
 	capacity int
@@ -24,14 +24,13 @@ type Resource struct {
 	waitTime Duration
 	maxQueue int
 
-	// useOps is the UseT frame free list; see useOp.
+	// useOps is the Use frame free list; see useOp.
 	useOps []*useOp
 }
 
-// resWaiter is one queued acquirer: a parked process (p) or a task
-// continuation (fn); exactly one is set.
+// resWaiter is one queued acquirer: its continuation, unit count and
+// arrival time.
 type resWaiter struct {
-	p  *Proc
 	fn func()
 	n  int
 	t  Time
@@ -61,29 +60,11 @@ func (r *Resource) accountBusy() {
 	r.lastBusy = r.env.now
 }
 
-// Acquire blocks p until n units are available and takes them.
-func (r *Resource) Acquire(p *Proc, n int) {
-	if n <= 0 || n > r.capacity {
-		panic("sim: bad acquire count")
-	}
-	r.acquires++
-	if r.head == len(r.waiters) && r.inUse+n <= r.capacity {
-		r.accountBusy()
-		r.inUse += n
-		return
-	}
-	r.waiters = append(r.waiters, resWaiter{p: p, n: n, t: r.env.now})
-	if q := r.QueueLen(); q > r.maxQueue {
-		r.maxQueue = q
-	}
-	p.park()
-}
-
-// AcquireT takes n units and runs k. When the units are free the grant is
-// immediate: k runs inline and no event is scheduled, mirroring Acquire's
-// uncontended fast path. Otherwise the continuation queues FIFO behind
-// earlier acquirers and is dispatched by Release.
-func (r *Resource) AcquireT(t *Task, n int, k func()) {
+// Acquire takes n units and runs k. When the units are free the grant is
+// immediate: k runs inline and no event is scheduled. Otherwise the
+// continuation queues FIFO behind earlier acquirers and is dispatched by
+// Release.
+func (r *Resource) Acquire(t *Task, n int, k func()) {
 	if n <= 0 || n > r.capacity {
 		panic("sim: bad acquire count")
 	}
@@ -101,8 +82,7 @@ func (r *Resource) AcquireT(t *Task, n int, k func()) {
 }
 
 // Release returns n units and wakes as many FIFO waiters as now fit. Each
-// admitted waiter costs one scheduled event — a process wake-up or a task
-// continuation dispatch.
+// admitted waiter costs one scheduled event: its continuation's dispatch.
 func (r *Resource) Release(n int) {
 	if n <= 0 || n > r.inUse {
 		panic("sim: bad release count")
@@ -111,16 +91,12 @@ func (r *Resource) Release(n int) {
 	r.inUse -= n
 	for r.head < len(r.waiters) && r.inUse+r.waiters[r.head].n <= r.capacity {
 		w := r.waiters[r.head]
-		r.waiters[r.head] = resWaiter{} // drop the Proc/closure reference
+		r.waiters[r.head] = resWaiter{} // drop the closure reference
 		r.head++
 		r.accountBusy()
 		r.inUse += w.n
 		r.waitTime += r.env.now.Sub(w.t)
-		if w.p != nil {
-			r.env.scheduleProc(w.p, 0)
-		} else {
-			r.env.schedule(r.env.now, nil, w.fn)
-		}
+		r.env.schedule(r.env.now, nil, w.fn)
 	}
 	// Reclaim the dead prefix so steady-state contention reuses one
 	// backing array instead of growing it per admission. Host-side only:
@@ -138,18 +114,10 @@ func (r *Resource) Release(n int) {
 	}
 }
 
-// Use acquires one unit, holds it for d, and releases it: the common
-// "serve one request" pattern.
-func (r *Resource) Use(p *Proc, d Duration) {
-	r.Acquire(p, 1)
-	p.Sleep(d)
-	r.Release(1)
-}
-
-// useOp is one in-flight UseT: the acquire→hold→release chain as a pooled
+// useOp is one in-flight Use: the acquire→hold→release chain as a pooled
 // frame with prebound continuations, so the kernel's most common task
 // pattern allocates nothing. The frame returns to its resource's free list
-// before k runs, so a continuation that immediately re-enters UseT on the
+// before k runs, so a continuation that immediately re-enters Use on the
 // same resource reuses the frame it just vacated.
 type useOp struct {
 	r *Resource
@@ -184,12 +152,12 @@ func (op *useOp) charged() {
 	k()
 }
 
-// UseT is Use for tasks: acquire one unit, hold it for d, release, then
-// run k. Schedule consumption matches Use exactly.
-func (r *Resource) UseT(t *Task, d Duration, k func()) {
+// Use acquires one unit, holds it for d, releases it, then runs k: the
+// common "serve one request" pattern.
+func (r *Resource) Use(t *Task, d Duration, k func()) {
 	op := r.takeUseOp()
 	op.t, op.d, op.k = t, d, k
-	r.AcquireT(t, 1, op.fnHeld)
+	r.Acquire(t, 1, op.fnHeld)
 }
 
 // Utilization returns the fraction of elapsed virtual time the resource has
@@ -211,21 +179,13 @@ func (r *Resource) Stats() (acquires uint64, avgWait Duration, maxQueue int) {
 	return acquires, avgWait, r.maxQueue
 }
 
-// Barrier blocks processes until a fixed number have arrived, then releases
-// them all at the same instant. It is reusable: after releasing a
-// generation it resets for the next. Processes and tasks may share one
-// barrier: the last arriver — either kind — releases the generation.
+// Barrier holds arriving parties until a fixed number have arrived, then
+// releases them all at the same instant. It is reusable: after releasing a
+// generation it resets for the next.
 type Barrier struct {
 	env     *Env
 	parties int
-	waiting []barrierWaiter
-}
-
-// barrierWaiter is one arrived party: a parked process or a task
-// continuation; exactly one is set.
-type barrierWaiter struct {
-	p  *Proc
-	fn func()
+	waiting []func()
 }
 
 // NewBarrier returns a barrier for the given number of parties.
@@ -236,37 +196,23 @@ func NewBarrier(env *Env, parties int) *Barrier {
 	return &Barrier{env: env, parties: parties}
 }
 
-// Wait blocks p until all parties have arrived.
-func (b *Barrier) Wait(p *Proc) {
-	if len(b.waiting)+1 == b.parties {
-		b.release()
-		return
-	}
-	b.waiting = append(b.waiting, barrierWaiter{p: p})
-	p.park()
-}
-
-// WaitT runs k when all parties have arrived. The last arriver's k runs
-// inline — consuming no sequence number, exactly as the last Wait caller
-// continues without parking — after the earlier arrivals are scheduled.
-func (b *Barrier) WaitT(t *Task, k func()) {
+// Wait runs k when all parties have arrived. The last arriver's k runs
+// inline, consuming no sequence number, after the earlier arrivals are
+// scheduled.
+func (b *Barrier) Wait(t *Task, k func()) {
 	if len(b.waiting)+1 == b.parties {
 		b.release()
 		k()
 		return
 	}
-	b.waiting = append(b.waiting, barrierWaiter{fn: k})
+	b.waiting = append(b.waiting, k)
 }
 
 // release schedules every waiting party at the current instant and resets
 // the barrier for the next generation.
 func (b *Barrier) release() {
-	for _, w := range b.waiting {
-		if w.p != nil {
-			b.env.scheduleProc(w.p, 0)
-		} else {
-			b.env.schedule(b.env.now, nil, w.fn)
-		}
+	for _, k := range b.waiting {
+		b.env.schedule(b.env.now, nil, k)
 	}
 	b.waiting = b.waiting[:0]
 }

@@ -1,23 +1,28 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// Simulated activities are written as ordinary Go functions running in
-// goroutines ("processes"), but time is virtual: a process advances the
-// clock only by blocking on one of the kernel's primitives (Sleep, Event,
-// Chan, Resource, Barrier). The kernel runs exactly one process goroutine
-// at a time and orders simultaneous events by creation sequence, so a
-// simulation is fully deterministic and race-free without locks.
+// Simulated activities are Tasks written in continuation-passing style:
+// time is virtual, and a task advances the clock only through the
+// kernel's primitives (Task.Sleep, Event, Resource, Barrier), each of
+// which takes the rest of the computation as a callback. Sequential
+// scripts run as goroutine-backed processes (Proc) that sleep directly and
+// drive task-style operations through Await. The kernel runs exactly one
+// process goroutine or continuation at a time and orders simultaneous
+// events by creation sequence, so a simulation is fully deterministic and
+// race-free without locks.
 //
 // The typical shape of a simulation:
 //
 //	env := sim.NewEnv()
-//	env.Process("client", func(p *sim.Proc) {
-//		p.Sleep(10 * time.Microsecond)
-//		// ... interact with other processes via Chan/Event/Resource
+//	env.StartTask("client", func(t *sim.Task) {
+//		t.Sleep(10*time.Microsecond, func() {
+//			// ... interact with other tasks via Event/Resource/Barrier
+//			t.End()
+//		})
 //	})
 //	env.Run()
 //
-// All kernel methods that take a *Proc must be called from that process's
-// own goroutine while it is the running process.
+// A Proc's methods must be called from that process's own goroutine while
+// it is the running process.
 //
 // # Dispatch cost
 //
@@ -225,9 +230,9 @@ func (e *Env) scheduleProc(p *Proc, d Duration) {
 // that does not need a blocking process of its own.
 //
 // fn runs between event dispatches, when no process is mid-action. It may
-// schedule further work (trigger events, call Defer, create processes) but
-// must not call process primitives (Sleep, Acquire, Wait, …): there is no
-// process to block.
+// schedule further work (trigger events, call Defer, start tasks or
+// processes) but must not call Proc.Sleep or Await: there is no process to
+// block.
 func (e *Env) Defer(d Duration, fn func()) {
 	if d < 0 {
 		panic("sim: negative defer delay")
@@ -343,12 +348,6 @@ func (e *Env) Process(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Spawn creates a child process; identical to Env.Process but callable in
-// process context for symmetry.
-func (p *Proc) Spawn(name string, fn func(p *Proc)) *Proc {
-	return p.env.Process(name, fn)
-}
-
 func (p *Proc) run(fn func(p *Proc)) {
 	defer p.finish()
 	fn(p)
@@ -388,10 +387,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.park()
 }
 
-// Yield lets any other process scheduled for the current instant run before
-// this one continues.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // wake delivers a resume to p and waits for it to yield again. Must be
 // called in scheduler context only.
 func (e *Env) wake(p *Proc) {
@@ -411,7 +406,7 @@ func (e *Env) wake(p *Proc) {
 // events run, and none ran between the previous event and the boundary).
 // Because the hook schedules nothing, installing it cannot change a
 // simulation's behaviour — results are byte-identical with it on or off.
-// The callback must not call process primitives (Sleep, Acquire, …).
+// The callback must not schedule anything (Defer, Trigger, Task.Sleep, …).
 func (e *Env) SetTick(interval Duration, fn func(at Time)) {
 	if fn == nil {
 		e.tickFn = nil

@@ -5,6 +5,33 @@ import (
 	"time"
 )
 
+// The helpers below block a process on a continuation primitive through
+// Await, the way scripts drive the kernel.
+
+// wait blocks p until ev triggers and returns the trigger value.
+func wait(p *Proc, ev *Event) interface{} {
+	var v interface{}
+	Await(p, func(t *Task, done func()) {
+		ev.Wait(t, func(x interface{}) { v = x; done() })
+	})
+	return v
+}
+
+// acquire blocks p until n units of r are granted.
+func acquire(p *Proc, r *Resource, n int) {
+	Await(p, func(t *Task, done func()) { r.Acquire(t, n, done) })
+}
+
+// use blocks p while it holds one unit of r for d.
+func use(p *Proc, r *Resource, d Duration) {
+	Await(p, func(t *Task, done func()) { r.Use(t, d, done) })
+}
+
+// arrive blocks p until every party of b has arrived.
+func arrive(p *Proc, b *Barrier) {
+	Await(p, func(t *Task, done func()) { b.Wait(t, done) })
+}
+
 func TestClockAdvancesWithSleep(t *testing.T) {
 	env := NewEnv()
 	var woke Time
@@ -26,7 +53,7 @@ func TestZeroSleepYields(t *testing.T) {
 	var order []string
 	env.Process("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	env.Process("b", func(p *Proc) {
@@ -92,7 +119,7 @@ func TestEventWakesAllWaiters(t *testing.T) {
 	woke := 0
 	for i := 0; i < 5; i++ {
 		env.Process("waiter", func(p *Proc) {
-			if got := ev.Wait(p); got != "go" {
+			if got := wait(p, ev); got != "go" {
 				t.Errorf("Wait returned %v, want go", got)
 			}
 			woke++
@@ -117,7 +144,7 @@ func TestEventWaitAfterTriggerReturnsImmediately(t *testing.T) {
 	env.Process("p", func(p *Proc) {
 		ev.Trigger(7)
 		before := p.Now()
-		if got := ev.Wait(p); got != 7 {
+		if got := wait(p, ev); got != 7 {
 			t.Errorf("got %v, want 7", got)
 		}
 		if p.Now() != before {
@@ -140,89 +167,13 @@ func TestEventSecondTriggerIgnored(t *testing.T) {
 	env.Run()
 }
 
-func TestChanRendezvous(t *testing.T) {
-	env := NewEnv()
-	ch := NewChan[int](env, 0)
-	var got int
-	var sendDone, recvDone Time
-	env.Process("sender", func(p *Proc) {
-		ch.Send(p, 99)
-		sendDone = p.Now()
-	})
-	env.Process("receiver", func(p *Proc) {
-		p.Sleep(5 * time.Microsecond)
-		got = ch.Recv(p)
-		recvDone = p.Now()
-	})
-	env.Run()
-	if got != 99 {
-		t.Errorf("got %d, want 99", got)
-	}
-	if sendDone < recvDone-Time(time.Microsecond) {
-		// sender must have blocked until the receiver arrived
-	}
-	if sendDone != Time(5*time.Microsecond) {
-		t.Errorf("sender finished at %v, want 5µs (blocked on rendezvous)", sendDone)
-	}
-}
-
-func TestChanBufferedDoesNotBlockUntilFull(t *testing.T) {
-	env := NewEnv()
-	ch := NewChan[int](env, 2)
-	var t1, t2, t3 Time
-	env.Process("sender", func(p *Proc) {
-		ch.Send(p, 1)
-		t1 = p.Now()
-		ch.Send(p, 2)
-		t2 = p.Now()
-		ch.Send(p, 3) // blocks: buffer full
-		t3 = p.Now()
-	})
-	env.Process("receiver", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		for i := 1; i <= 3; i++ {
-			if got := ch.Recv(p); got != i {
-				t.Errorf("recv %d, want %d (FIFO)", got, i)
-			}
-		}
-	})
-	env.Run()
-	if t1 != 0 || t2 != 0 {
-		t.Errorf("buffered sends blocked: t1=%v t2=%v", t1, t2)
-	}
-	if t3 != Time(time.Millisecond) {
-		t.Errorf("third send completed at %v, want 1ms", t3)
-	}
-}
-
-func TestChanTrySendTryRecv(t *testing.T) {
-	env := NewEnv()
-	ch := NewChan[string](env, 1)
-	env.Process("p", func(p *Proc) {
-		if _, ok := ch.TryRecv(); ok {
-			t.Error("TryRecv on empty chan succeeded")
-		}
-		if !ch.TrySend("x") {
-			t.Error("TrySend into empty buffer failed")
-		}
-		if ch.TrySend("y") {
-			t.Error("TrySend into full buffer succeeded")
-		}
-		v, ok := ch.TryRecv()
-		if !ok || v != "x" {
-			t.Errorf("TryRecv = %q,%v; want x,true", v, ok)
-		}
-	})
-	env.Run()
-}
-
 func TestResourceSerializes(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, 1)
 	var finish []Time
 	for i := 0; i < 3; i++ {
 		env.Process("user", func(p *Proc) {
-			res.Use(p, 10*time.Microsecond)
+			use(p, res, 10*time.Microsecond)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -241,7 +192,7 @@ func TestResourceCapacityTwoRunsPairsConcurrently(t *testing.T) {
 	var finish []Time
 	for i := 0; i < 4; i++ {
 		env.Process("user", func(p *Proc) {
-			res.Use(p, 10*time.Microsecond)
+			use(p, res, 10*time.Microsecond)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -259,7 +210,7 @@ func TestResourceFIFOOrder(t *testing.T) {
 		i := i
 		env.Process("user", func(p *Proc) {
 			p.Sleep(Duration(i) * time.Microsecond) // arrive in index order
-			res.Acquire(p, 1)
+			acquire(p, res, 1)
 			order = append(order, i)
 			p.Sleep(100 * time.Microsecond)
 			res.Release(1)
@@ -277,7 +228,7 @@ func TestResourceUtilization(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, 1)
 	env.Process("u", func(p *Proc) {
-		res.Use(p, 30*time.Microsecond)
+		use(p, res, 30*time.Microsecond)
 		p.Sleep(70 * time.Microsecond)
 	})
 	env.Run()
@@ -294,11 +245,11 @@ func TestBarrierReleasesTogetherAndIsReusable(t *testing.T) {
 		i := i
 		env.Process("p", func(p *Proc) {
 			p.Sleep(Duration(i*10) * time.Microsecond)
-			bar.Wait(p)
+			arrive(p, bar)
 			released = append(released, p.Now())
 			// Second generation.
 			p.Sleep(Duration((3-i)*10) * time.Microsecond)
-			bar.Wait(p)
+			arrive(p, bar)
 			released = append(released, p.Now())
 		})
 	}
@@ -325,34 +276,12 @@ func TestProcDoneEvent(t *testing.T) {
 	})
 	var sawDone Time
 	env.Process("parent", func(p *Proc) {
-		child.Done().Wait(p)
+		wait(p, child.Done())
 		sawDone = p.Now()
 	})
 	env.Run()
 	if sawDone != Time(time.Millisecond) {
 		t.Errorf("parent saw done at %v, want 1ms", sawDone)
-	}
-}
-
-func TestSpawnFromProcess(t *testing.T) {
-	env := NewEnv()
-	total := 0
-	env.Process("root", func(p *Proc) {
-		kids := make([]*Proc, 4)
-		for i := range kids {
-			kids[i] = p.Spawn("kid", func(q *Proc) {
-				q.Sleep(time.Microsecond)
-				total++
-			})
-		}
-		for _, k := range kids {
-			k.Done().Wait(p)
-		}
-		total *= 10
-	})
-	env.Run()
-	if total != 40 {
-		t.Errorf("total = %d, want 40", total)
 	}
 }
 
@@ -386,9 +315,9 @@ func TestDeadlockPanics(t *testing.T) {
 		}
 	}()
 	env := NewEnv()
-	ch := NewChan[int](env, 0)
+	ev := NewEvent(env)
 	env.Process("stuck", func(p *Proc) {
-		ch.Recv(p) // nobody will ever send
+		wait(p, ev) // nobody will ever trigger it
 	})
 	env.Run()
 }

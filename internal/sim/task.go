@@ -3,8 +3,8 @@ package sim
 import "fmt"
 
 // Actor is the common face of the kernel's two execution styles: a *Proc
-// (goroutine-backed, blocking primitives) and a *Task (continuation-style,
-// advanced by heap events). Layers that only need the clock and the
+// (a goroutine-backed script) and a *Task (continuation-style, advanced by
+// heap events). Layers that only need the clock and the
 // per-operation context slot — tracing, health accounting, span
 // bookkeeping — accept an Actor so one implementation serves both engines.
 type Actor interface {
@@ -29,19 +29,14 @@ var (
 // concurrent clients cost ten thousand pending closures, not ten thousand
 // goroutines.
 //
-// A Task never blocks. Each kernel primitive has a *T variant
-// (Event.WaitT, Resource.AcquireT/UseT, Barrier.WaitT, Task.Sleep) that
-// takes the rest of the computation as a callback and returns immediately.
-// The continuation runs in scheduler context when the awaited instant or
-// condition arrives. A Task's body must call End exactly once, after its
-// last continuation has run; a drained event heap with un-ended Tasks is a
-// deadlock, diagnosed by Run exactly as for parked processes.
-//
-// Determinism: the *T primitives consume sequence numbers identically to
-// their blocking siblings (one schedule per wake-up, zero when the fast
-// path returns inline), so a workload ported from Procs to Tasks replays
-// the exact same (time, seq) event stream and produces byte-identical
-// results.
+// A Task never blocks. Each kernel primitive (Event.Wait, Resource.Acquire
+// and Use, Barrier.Wait, Task.Sleep) takes the rest of the computation as
+// a callback and returns immediately. The continuation runs in scheduler
+// context when the awaited instant or condition arrives, or inline when
+// the primitive's fast path needs no wait (consuming no sequence number).
+// A Task's body must call End exactly once, after its last continuation
+// has run; a drained event heap with un-ended Tasks is a deadlock,
+// diagnosed by Run exactly as for parked processes.
 type Task struct {
 	env   *Env
 	name  string
@@ -67,7 +62,7 @@ func (e *Env) StartTask(name string, fn func(t *Task)) *Task {
 // an Actor identity with a clock and a per-operation context slot — for
 // continuation-style code whose lifecycle is tracked by its owner rather
 // than by the kernel. Pooled RPC frames use one as the server-side actor
-// for span nesting and *T primitives, reusing it across every call the
+// for span nesting and kernel primitives, reusing it across every call the
 // frame carries. A context task is never counted live (the caller whose
 // call it serves already is), has no scheduled body, and must never call
 // End.

@@ -304,7 +304,7 @@ func Replay(env *sim.Env, mounts []gluster.FS, t *Trace) *Result {
 					step(i + 1)
 				})
 			}
-			bar.WaitT(tk, func() {
+			bar.Wait(tk, func() {
 				if !started {
 					started = true
 					start = tk.Now()

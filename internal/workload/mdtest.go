@@ -48,7 +48,7 @@ func MDTest(env *sim.Env, mounts []gluster.FS, opts MDTestOptions) MDTestResult 
 
 			// Phase 3: unlink own files.
 			phase3 := func() {
-				bar.WaitT(t, func() {
+				bar.Wait(t, func() {
 					t0 = t.Now()
 					var unlink func(i int)
 					unlink = func(i int) {
@@ -72,7 +72,7 @@ func MDTest(env *sim.Env, mounts []gluster.FS, opts MDTestOptions) MDTestResult 
 
 			// Phase 2: stat every file of every client.
 			phase2 := func() {
-				bar.WaitT(t, func() {
+				bar.Wait(t, func() {
 					t0 = t.Now()
 					var stat func(j int)
 					stat = func(j int) {
@@ -80,7 +80,7 @@ func MDTest(env *sim.Env, mounts []gluster.FS, opts MDTestOptions) MDTestResult 
 							if d := t.Now().Sub(t0); d > statMax {
 								statMax = d
 							}
-							bar.WaitT(t, phase3)
+							bar.Wait(t, phase3)
 							return
 						}
 						fs.Stat(t, FilePath(clientDir(j/n), j%n), func(_ *gluster.Stat, err error) {
@@ -95,7 +95,7 @@ func MDTest(env *sim.Env, mounts []gluster.FS, opts MDTestOptions) MDTestResult 
 			}
 
 			// Phase 1: create.
-			bar.WaitT(t, func() {
+			bar.Wait(t, func() {
 				t0 = t.Now()
 				var create func(i int)
 				create = func(i int) {
@@ -103,7 +103,7 @@ func MDTest(env *sim.Env, mounts []gluster.FS, opts MDTestOptions) MDTestResult 
 						if d := t.Now().Sub(t0); d > createMax {
 							createMax = d
 						}
-						bar.WaitT(t, phase2)
+						bar.Wait(t, phase2)
 						return
 					}
 					fs.Create(t, FilePath(clientDir(ci), i), func(fd gluster.FD, err error) {

@@ -54,7 +54,7 @@ func SmallFiles(env *sim.Env, mounts []gluster.FS, opts SmallFilesOptions) Small
 			rng := xrand.New(opts.Seed + uint64(ci)*0x9e3779b97f4a7c15 + 1)
 			zipf := xrand.NewZipf(rng, 1.0, opts.Files)
 			open := make(map[int]gluster.FD)
-			bar.WaitT(t, func() {
+			bar.Wait(t, func() {
 				t0 := t.Now()
 				var access func(a int)
 				access = func(a int) {

@@ -151,7 +151,7 @@ func statBench(env *sim.Env, mounts []gluster.FS, paths []string, stride int) si
 	for _, fs := range mounts {
 		fs := fs
 		env.StartTask("statbench", func(t *sim.Task) {
-			start.WaitT(t, func() {
+			start.Wait(t, func() {
 				t0 := t.Now()
 				i := 0
 				var step func()
@@ -340,13 +340,13 @@ func Latency(env *sim.Env, mounts []gluster.FS, opts LatencyOptions) LatencyResu
 					return
 				}
 				r := opts.RecordSizes[si]
-				bar.WaitT(t, func() {
+				bar.Wait(t, func() {
 					t0 := t.Now()
 					var rec func(n int)
 					rec = func(n int) {
 						if n == opts.Records {
 							writeTotals[si] += t.Now().Sub(t0)
-							bar.WaitT(t, func() { bySize(si + 1) })
+							bar.Wait(t, func() { bySize(si + 1) })
 							return
 						}
 						off := int64(n) * r
@@ -400,7 +400,7 @@ func Latency(env *sim.Env, mounts []gluster.FS, opts LatencyOptions) LatencyResu
 					rec = func(n int) {
 						if n == opts.Records {
 							readTotals[si] += t.Now().Sub(t0)
-							rbar.WaitT(t, func() { bySize(si + 1) })
+							rbar.Wait(t, func() { bySize(si + 1) })
 							return
 						}
 						off := int64(n) * r
@@ -418,12 +418,12 @@ func Latency(env *sim.Env, mounts []gluster.FS, opts LatencyOptions) LatencyResu
 					}
 					rec(0)
 				}
-				rbar.WaitT(t, func() {
+				rbar.Wait(t, func() {
 					if opts.BeforeReadSize != nil {
 						if ci == 0 {
 							opts.BeforeReadSize(r)
 						}
-						rbar.WaitT(t, measure)
+						rbar.Wait(t, measure)
 						return
 					}
 					measure()
@@ -489,7 +489,7 @@ func Throughput(env *sim.Env, mounts []gluster.FS, opts ThroughputOptions) Throu
 					panic(fmt.Sprintf("workload: create: %v", err))
 				}
 				fds[ci] = fd
-				bar.WaitT(t, func() {
+				bar.Wait(t, func() {
 					if wStart == 0 {
 						wStart = t.Now()
 					}
@@ -529,7 +529,7 @@ func Throughput(env *sim.Env, mounts []gluster.FS, opts ThroughputOptions) Throu
 			ci := ci
 			fs := mounts[ci]
 			env.StartTask(name, func(t *sim.Task) {
-				rbar.WaitT(t, func() {
+				rbar.Wait(t, func() {
 					if rStart == 0 {
 						rStart = t.Now()
 					}
