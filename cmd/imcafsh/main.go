@@ -121,23 +121,22 @@ func main() {
 	}
 }
 
-// inSim runs fn as a simulated process and returns the virtual time it
+// inSim runs fn as a host-side script on a fresh context task, drains
+// what its operations left in flight, and returns the virtual time fn
 // took; with tracing on, the whole command becomes one traced operation.
-func (sh *shell) inSim(name string, fn func(p *sim.Proc)) sim.Duration {
-	var took sim.Duration
-	sh.c.Env.Process("shell", func(p *sim.Proc) {
-		start := p.Now()
-		if sh.trace {
-			sh.col.Begin(p, name)
-			root := optrace.StartSpan(p, optrace.LayerOp, name)
-			fn(p)
-			root.End(p)
-			sh.col.End(p)
-		} else {
-			fn(p)
-		}
-		took = p.Now().Sub(start)
-	})
+func (sh *shell) inSim(name string, fn func(t *sim.Task)) sim.Duration {
+	t := sh.c.Env.ContextTask("shell")
+	start := t.Now()
+	if sh.trace {
+		sh.col.Begin(t, name)
+		root := optrace.StartSpan(t, optrace.LayerOp, name)
+		fn(t)
+		root.End(t)
+		sh.col.End(t)
+	} else {
+		fn(t)
+	}
+	took := t.Now().Sub(start)
 	sh.c.Env.Run()
 	return took
 }
@@ -234,16 +233,16 @@ func (sh *shell) fdFor(path string) (gluster.FD, bool) {
 
 func (sh *shell) pathCmd(cmd, path string) {
 	var err error
-	took := sh.inSim(cmd, func(p *sim.Proc) {
+	took := sh.inSim(cmd, func(t *sim.Task) {
 		switch cmd {
 		case "create":
 			var fd gluster.FD
-			if fd, err = sh.fs.Create(p, path); err == nil {
+			if fd, err = sh.fs.Create(t, path); err == nil {
 				sh.fds[path] = fd
 			}
 		case "open":
 			var fd gluster.FD
-			if fd, err = sh.fs.Open(p, path); err == nil {
+			if fd, err = sh.fs.Open(t, path); err == nil {
 				sh.fds[path] = fd
 			}
 		case "close":
@@ -252,19 +251,19 @@ func (sh *shell) pathCmd(cmd, path string) {
 				err = gluster.ErrBadFD
 				return
 			}
-			if err = sh.fs.Close(p, fd); err == nil {
+			if err = sh.fs.Close(t, fd); err == nil {
 				delete(sh.fds, path)
 			}
 		case "rm":
-			err = sh.fs.Unlink(p, path)
+			err = sh.fs.Unlink(t, path)
 		case "stat":
 			var st *gluster.Stat
-			if st, err = sh.fs.Stat(p, path); err == nil {
+			if st, err = sh.fs.Stat(t, path); err == nil {
 				fmt.Printf("  ino=%d size=%d dir=%v mtime=%v\n", st.Ino, st.Size, st.IsDir, sim.Duration(st.Mtime))
 			}
 		case "ls":
 			var names []string
-			if names, err = sh.fs.Readdir(p, path); err == nil {
+			if names, err = sh.fs.Readdir(t, path); err == nil {
 				for _, n := range names {
 					fmt.Printf("  %s\n", n)
 				}
@@ -283,10 +282,10 @@ func (sh *shell) ioCmd(cmd, path string, off, size int64) {
 	}
 	var err error
 	var hit string
-	took := sh.inSim(cmd, func(p *sim.Proc) {
+	took := sh.inSim(cmd, func(t *sim.Task) {
 		switch cmd {
 		case "write":
-			_, err = sh.fs.Write(p, fd, off, blob.Synthetic(uint64(len(path))+1, off, size))
+			_, err = sh.fs.Write(t, fd, off, blob.Synthetic(uint64(len(path))+1, off, size))
 		case "read":
 			var before uint64
 			cm := sh.c.Mounts[0].CMCache
@@ -294,7 +293,7 @@ func (sh *shell) ioCmd(cmd, path string, off, size int64) {
 				before = cm.Stats.ReadMisses
 			}
 			var data blob.Blob
-			data, err = sh.fs.Read(p, fd, off, size)
+			data, err = sh.fs.Read(t, fd, off, size)
 			if err == nil {
 				hit = fmt.Sprintf(", %d bytes", data.Len())
 				if cm != nil {

@@ -13,7 +13,6 @@ import (
 	"imca/internal/blob"
 	"imca/internal/cluster"
 	"imca/internal/gluster"
-	"imca/internal/sim"
 )
 
 func main() {
@@ -27,39 +26,41 @@ func main() {
 	})
 	fs := gluster.Sync{FS: c.Mounts[0].FS}
 
-	c.Env.Process("quickstart", func(p *sim.Proc) {
-		fd, err := fs.Create(p, "/demo/hello.dat")
-		if err != nil {
-			panic(err)
-		}
+	// The script runs on the host; each call dispatches events until its
+	// operation completes.
+	t := c.Env.ContextTask("quickstart")
+	fd, err := fs.Create(t, "/demo/hello.dat")
+	if err != nil {
+		panic(err)
+	}
 
-		// Write 64 KB; IMCa forwards writes to the server (persistence),
-		// then the server-side translator feeds the blocks to the MCDs.
-		payload := blob.Synthetic(42, 0, 64<<10)
-		start := p.Now()
-		if _, err := fs.Write(p, fd, 0, payload); err != nil {
-			panic(err)
-		}
-		fmt.Printf("write 64KB:            %8v\n", p.Now().Sub(start))
+	// Write 64 KB; IMCa forwards writes to the server (persistence),
+	// then the server-side translator feeds the blocks to the MCDs.
+	payload := blob.Synthetic(42, 0, 64<<10)
+	start := t.Now()
+	if _, err := fs.Write(t, fd, 0, payload); err != nil {
+		panic(err)
+	}
+	fmt.Printf("write 64KB:            %8v\n", t.Now().Sub(start))
 
-		// This read never reaches the GlusterFS server: every 2 KB block
-		// comes from the MCD bank.
-		start = p.Now()
-		data, err := fs.Read(p, fd, 0, 64<<10)
-		if err != nil || !data.Equal(payload) {
-			panic("read mismatch")
-		}
-		fmt.Printf("read 64KB (cache hit): %8v\n", p.Now().Sub(start))
+	// This read never reaches the GlusterFS server: every 2 KB block
+	// comes from the MCD bank.
+	start = t.Now()
+	data, err := fs.Read(t, fd, 0, 64<<10)
+	if err != nil || !data.Equal(payload) {
+		panic("read mismatch")
+	}
+	fmt.Printf("read 64KB (cache hit): %8v\n", t.Now().Sub(start))
 
-		// Stat is also served from the cache.
-		start = p.Now()
-		st, err := fs.Stat(p, "/demo/hello.dat")
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("stat (cache hit):      %8v  -> size=%d mtime=%v\n",
-			p.Now().Sub(start), st.Size, st.Mtime)
-	})
+	// Stat is also served from the cache.
+	start = t.Now()
+	st, err := fs.Stat(t, "/demo/hello.dat")
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("stat (cache hit):      %8v  -> size=%d mtime=%v\n",
+		t.Now().Sub(start), st.Size, st.Mtime)
+
 	c.Env.Run()
 
 	cm := c.Mounts[0].CMCache

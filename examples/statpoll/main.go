@@ -33,53 +33,83 @@ func main() {
 		MCDMemBytes: 64 << 20,
 	})
 
-	producer := gluster.Sync{FS: c.Mounts[0].FS}
+	// The producer and the consumers run concurrently, so each is a task
+	// written in continuation-passing style: every operation takes the
+	// rest of the script as its callback.
+	producer := c.Mounts[0].FS
 	done := false
 
-	c.Env.Process("producer", func(p *sim.Proc) {
-		fd, err := producer.Create(p, "/feed/log")
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < records; i++ {
-			p.Sleep(2 * time.Millisecond) // produce at ~500 records/s
-			off := int64(i) * recordSize
-			if _, err := producer.Write(p, fd, off, blob.Synthetic(1, off, recordSize)); err != nil {
+	c.Env.StartTask("producer", func(t *sim.Task) {
+		producer.Create(t, "/feed/log", func(fd gluster.FD, err error) {
+			if err != nil {
 				panic(err)
 			}
-		}
-		done = true
+			var produce func(i int)
+			produce = func(i int) {
+				if i == records {
+					done = true
+					t.End()
+					return
+				}
+				t.Sleep(2*time.Millisecond, func() { // produce at ~500 records/s
+					off := int64(i) * recordSize
+					producer.Write(t, fd, off, blob.Synthetic(1, off, recordSize), func(_ int64, err error) {
+						if err != nil {
+							panic(err)
+						}
+						produce(i + 1)
+					})
+				})
+			}
+			produce(0)
+		})
 	})
 
 	consumed := make([]int, consumers)
 	for ci := 0; ci < consumers; ci++ {
 		ci := ci
-		fs := gluster.Sync{FS: c.Mounts[1+ci].FS}
-		c.Env.Process(fmt.Sprintf("consumer%d", ci), func(p *sim.Proc) {
-			// Wait for the file to appear.
+		fs := c.Mounts[1+ci].FS
+		c.Env.StartTask(fmt.Sprintf("consumer%d", ci), func(t *sim.Task) {
 			var fd gluster.FD
-			for {
-				var err error
-				if fd, err = fs.Open(p, "/feed/log"); err == nil {
-					break
-				}
-				p.Sleep(pollEvery)
-			}
 			var lastSize int64
-			for !done || consumed[ci] < records {
-				p.Sleep(pollEvery)
-				st, err := fs.Stat(p, "/feed/log") // served by the MCD bank
-				if err != nil || st.Size == lastSize {
-					continue
+			var poll func()
+			poll = func() {
+				if done && consumed[ci] >= records {
+					t.End()
+					return
 				}
-				// New data: read just the delta.
-				data, err := fs.Read(p, fd, lastSize, st.Size-lastSize)
-				if err != nil {
-					panic(err)
-				}
-				consumed[ci] += int(data.Len() / recordSize)
-				lastSize = st.Size
+				t.Sleep(pollEvery, func() {
+					fs.Stat(t, "/feed/log", func(st *gluster.Stat, err error) { // served by the MCD bank
+						if err != nil || st.Size == lastSize {
+							poll()
+							return
+						}
+						// New data: read just the delta.
+						size := st.Size
+						fs.Read(t, fd, lastSize, size-lastSize, func(data blob.Blob, err error) {
+							if err != nil {
+								panic(err)
+							}
+							consumed[ci] += int(data.Len() / recordSize)
+							lastSize = size
+							poll()
+						})
+					})
+				})
 			}
+			// Wait for the file to appear.
+			var open func()
+			open = func() {
+				fs.Open(t, "/feed/log", func(f gluster.FD, err error) {
+					if err != nil {
+						t.Sleep(pollEvery, open)
+						return
+					}
+					fd = f
+					poll()
+				})
+			}
+			open()
 		})
 	}
 

@@ -6,7 +6,6 @@ import (
 	"imca/internal/blob"
 	"imca/internal/fabric"
 	"imca/internal/memcache"
-	"imca/internal/sim"
 	"imca/internal/workload"
 )
 
@@ -51,11 +50,10 @@ func TestSelectorPropagates(t *testing.T) {
 	c := New(Options{Clients: 1, MCDs: 4, MCDMemBytes: 32 << 20,
 		Selector: memcache.BlockModuloSelector{BlockSize: 2048}, BlockSize: 2048})
 	// Consecutive blocks written through the stack must land round-robin.
-	c.Env.Process("t", func(p *sim.Proc) {
-		fs := c.Mounts[0].FS
-		fd, _ := blocking(fs).Create(p, "/sel/f")
-		blocking(fs).Write(p, fd, 0, blob.Synthetic(1, 0, 8192)) // 4 blocks
-	})
+	p := c.Env.ContextTask("t")
+	fs := c.Mounts[0].FS
+	fd, _ := blocking(fs).Create(p, "/sel/f")
+	blocking(fs).Write(p, fd, 0, blob.Synthetic(1, 0, 8192)) // 4 blocks
 	c.Env.Run()
 	for i, m := range c.MCDs {
 		if got := m.Store().Len(); got == 0 && i < 4 {
@@ -87,36 +85,35 @@ func TestMultiBrickSpreadsNamespace(t *testing.T) {
 
 func TestMultiBrickWithIMCaEndToEnd(t *testing.T) {
 	c := New(Options{Clients: 2, Bricks: 2, MCDs: 2, MCDMemBytes: 64 << 20, BlockSize: 2048})
-	c.Env.Process("t", func(p *sim.Proc) {
-		w := c.Mounts[0].FS
-		fd, err := blocking(w).Create(p, "/mb/data")
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := blob.Synthetic(5, 0, 16<<10)
-		blocking(w).Write(p, fd, 0, payload)
+	p := c.Env.ContextTask("t")
+	w := c.Mounts[0].FS
+	fd, err := blocking(w).Create(p, "/mb/data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := blob.Synthetic(5, 0, 16<<10)
+	blocking(w).Write(p, fd, 0, payload)
 
-		// The second client reads through its own distribute stack; the
-		// data should come from the bank regardless of which brick owns
-		// the file.
-		r := c.Mounts[1].FS
-		rfd, err := blocking(r).Open(p, "/mb/data") // purges the file's blocks (paper §4.3.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := blocking(r).Read(p, rfd, 0, 16<<10) // miss -> owning brick -> re-push
-		if err != nil || !got.Equal(payload) {
-			t.Fatalf("cross-brick read wrong: %v", err)
-		}
-		got, err = blocking(r).Read(p, rfd, 0, 16<<10) // now served by the bank
-		if err != nil || !got.Equal(payload) {
-			t.Fatalf("second cross-brick read wrong: %v", err)
-		}
-		st, err := blocking(r).Stat(p, "/mb/data")
-		if err != nil || st.Size != 16<<10 {
-			t.Fatalf("stat = %+v, %v", st, err)
-		}
-	})
+	// The second client reads through its own distribute stack; the
+	// data should come from the bank regardless of which brick owns
+	// the file.
+	r := c.Mounts[1].FS
+	rfd, err := blocking(r).Open(p, "/mb/data") // purges the file's blocks (paper §4.3.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := blocking(r).Read(p, rfd, 0, 16<<10) // miss -> owning brick -> re-push
+	if err != nil || !got.Equal(payload) {
+		t.Fatalf("cross-brick read wrong: %v", err)
+	}
+	got, err = blocking(r).Read(p, rfd, 0, 16<<10) // now served by the bank
+	if err != nil || !got.Equal(payload) {
+		t.Fatalf("second cross-brick read wrong: %v", err)
+	}
+	st, err := blocking(r).Stat(p, "/mb/data")
+	if err != nil || st.Size != 16<<10 {
+		t.Fatalf("stat = %+v, %v", st, err)
+	}
 	c.Env.Run()
 	if c.Mounts[1].CMCache.Stats.ReadHits == 0 {
 		t.Error("reader's data did not come from the bank")
@@ -135,12 +132,11 @@ func TestMultiBrickLatencyBenchRuns(t *testing.T) {
 
 func TestBankStatsAggregates(t *testing.T) {
 	c := New(Options{Clients: 1, MCDs: 3, MCDMemBytes: 32 << 20})
-	c.Env.Process("t", func(p *sim.Proc) {
-		fs := c.Mounts[0].FS
-		fd, _ := blocking(fs).Create(p, "/bs/f")
-		blocking(fs).Write(p, fd, 0, blob.Synthetic(1, 0, 8192))
-		blocking(fs).Read(p, fd, 0, 8192)
-	})
+	p := c.Env.ContextTask("t")
+	fs := c.Mounts[0].FS
+	fd, _ := blocking(fs).Create(p, "/bs/f")
+	blocking(fs).Write(p, fd, 0, blob.Synthetic(1, 0, 8192))
+	blocking(fs).Read(p, fd, 0, 8192)
 	c.Env.Run()
 	st := c.BankStats()
 	if st.CmdSet == 0 || st.CmdGet == 0 {

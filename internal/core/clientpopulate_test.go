@@ -47,25 +47,24 @@ func newLustreIMCaRig(t *testing.T, clients, mcds int) *lustreIMCaRig {
 
 func TestClientPopulateLustreReadMissFillsBank(t *testing.T) {
 	r := newLustreIMCaRig(t, 1, 1)
-	r.env.Process("t", func(p *sim.Proc) {
-		fs := r.mounts[0]
-		fd, err := blocking(fs).Create(p, "/lx/file")
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := blob.Synthetic(5, 0, 16<<10)
-		blocking(fs).Write(p, fd, 0, payload)
-		// The write pushed blocks; flush to force a miss path too.
-		r.mcds[0].Store().FlushAll()
-		got, err := blocking(fs).Read(p, fd, 0, 16<<10) // miss -> lustre -> push
-		if err != nil || !got.Equal(payload) {
-			t.Fatalf("miss read wrong: %v", err)
-		}
-		got2, err := blocking(fs).Read(p, fd, 0, 16<<10) // now a bank hit
-		if err != nil || !got2.Equal(payload) {
-			t.Fatalf("hit read wrong: %v", err)
-		}
-	})
+	p := r.env.ContextTask("t")
+	fs := r.mounts[0]
+	fd, err := blocking(fs).Create(p, "/lx/file")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := blob.Synthetic(5, 0, 16<<10)
+	blocking(fs).Write(p, fd, 0, payload)
+	// The write pushed blocks; flush to force a miss path too.
+	r.mcds[0].Store().FlushAll()
+	got, err := blocking(fs).Read(p, fd, 0, 16<<10) // miss -> lustre -> push
+	if err != nil || !got.Equal(payload) {
+		t.Fatalf("miss read wrong: %v", err)
+	}
+	got2, err := blocking(fs).Read(p, fd, 0, 16<<10) // now a bank hit
+	if err != nil || !got2.Equal(payload) {
+		t.Fatalf("hit read wrong: %v", err)
+	}
 	r.env.Run()
 	cm := r.caches[0]
 	if cm.Stats.ReadMisses != 1 || cm.Stats.ReadHits != 1 {
@@ -75,22 +74,21 @@ func TestClientPopulateLustreReadMissFillsBank(t *testing.T) {
 
 func TestClientPopulateSharedReadersAvoidOSTs(t *testing.T) {
 	r := newLustreIMCaRig(t, 4, 2)
-	r.env.Process("t", func(p *sim.Proc) {
-		w := r.mounts[0]
-		fd, _ := blocking(w).Create(p, "/shared/data")
-		blocking(w).Write(p, fd, 0, blob.Synthetic(9, 0, 64<<10))
+	p := r.env.ContextTask("t")
+	w := r.mounts[0]
+	fd, _ := blocking(w).Create(p, "/shared/data")
+	blocking(w).Write(p, fd, 0, blob.Synthetic(9, 0, 64<<10))
 
-		for ci := 1; ci < 4; ci++ {
-			rfd, err := blocking(r.mounts[ci]).Open(p, "/shared/data")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := blocking(r.mounts[ci]).Read(p, rfd, 0, 64<<10)
-			if err != nil || !got.Equal(blob.Synthetic(9, 0, 64<<10)) {
-				t.Fatalf("reader %d wrong data: %v", ci, err)
-			}
+	for ci := 1; ci < 4; ci++ {
+		rfd, err := blocking(r.mounts[ci]).Open(p, "/shared/data")
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
+		got, err := blocking(r.mounts[ci]).Read(p, rfd, 0, 64<<10)
+		if err != nil || !got.Equal(blob.Synthetic(9, 0, 64<<10)) {
+			t.Fatalf("reader %d wrong data: %v", ci, err)
+		}
+	}
 	r.env.Run()
 	for ci := 1; ci < 4; ci++ {
 		if r.caches[ci].Stats.ReadMisses != 0 {
@@ -102,15 +100,14 @@ func TestClientPopulateSharedReadersAvoidOSTs(t *testing.T) {
 
 func TestClientPopulateStatFromBank(t *testing.T) {
 	r := newLustreIMCaRig(t, 2, 1)
-	r.env.Process("t", func(p *sim.Proc) {
-		w := r.mounts[0]
-		fd, _ := blocking(w).Create(p, "/s/f")
-		blocking(w).Write(p, fd, 0, blob.Synthetic(1, 0, 5000))
-		st, err := blocking(r.mounts[1]).Stat(p, "/s/f")
-		if err != nil || st.Size != 5000 {
-			t.Fatalf("stat via bank = %+v, %v", st, err)
-		}
-	})
+	p := r.env.ContextTask("t")
+	w := r.mounts[0]
+	fd, _ := blocking(w).Create(p, "/s/f")
+	blocking(w).Write(p, fd, 0, blob.Synthetic(1, 0, 5000))
+	st, err := blocking(r.mounts[1]).Stat(p, "/s/f")
+	if err != nil || st.Size != 5000 {
+		t.Fatalf("stat via bank = %+v, %v", st, err)
+	}
 	r.env.Run()
 	if r.caches[1].Stats.StatHits != 1 {
 		t.Errorf("second client's stat did not hit the bank: %+v", r.caches[1].Stats)
@@ -119,25 +116,24 @@ func TestClientPopulateStatFromBank(t *testing.T) {
 
 func TestClientPopulateUnalignedWriteReadBack(t *testing.T) {
 	r := newLustreIMCaRig(t, 1, 1)
-	r.env.Process("t", func(p *sim.Proc) {
-		fs := r.mounts[0]
-		fd, _ := blocking(fs).Create(p, "/u/f")
-		blocking(fs).Write(p, fd, 0, blob.Synthetic(3, 0, 10000))
-		// Unaligned overwrite: push must re-read the covering span so
-		// the bank's blocks stay whole.
-		blocking(fs).Write(p, fd, 1000, blob.FromString("XYZ"))
-		got, err := blocking(fs).Read(p, fd, 0, 10000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := got.Bytes()
-		if string(b[1000:1003]) != "XYZ" {
-			t.Errorf("overwrite lost: %q", b[1000:1003])
-		}
-		if b[999] != blob.Synthetic(3, 0, 10000).At(999) || b[1003] != blob.Synthetic(3, 0, 10000).At(1003) {
-			t.Error("bytes adjacent to the overwrite corrupted")
-		}
-	})
+	p := r.env.ContextTask("t")
+	fs := r.mounts[0]
+	fd, _ := blocking(fs).Create(p, "/u/f")
+	blocking(fs).Write(p, fd, 0, blob.Synthetic(3, 0, 10000))
+	// Unaligned overwrite: push must re-read the covering span so
+	// the bank's blocks stay whole.
+	blocking(fs).Write(p, fd, 1000, blob.FromString("XYZ"))
+	got, err := blocking(fs).Read(p, fd, 0, 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := got.Bytes()
+	if string(b[1000:1003]) != "XYZ" {
+		t.Errorf("overwrite lost: %q", b[1000:1003])
+	}
+	if b[999] != blob.Synthetic(3, 0, 10000).At(999) || b[1003] != blob.Synthetic(3, 0, 10000).At(1003) {
+		t.Error("bytes adjacent to the overwrite corrupted")
+	}
 	r.env.Run()
 }
 
@@ -148,12 +144,11 @@ func TestClientPopulateOffByDefault(t *testing.T) {
 	// Rebuild cache without populate.
 	r.caches[0] = NewCMCache(r.lclients[0], memcache.NewSimClient(r.lclients[0].Node(), r.mcds), Config{BlockSize: 2048})
 	fs := gluster.FS(r.caches[0])
-	r.env.Process("t", func(p *sim.Proc) {
-		fd, _ := blocking(fs).Create(p, "/plain/f")
-		blocking(fs).Write(p, fd, 0, blob.Synthetic(1, 0, 4096))
-		blocking(fs).Read(p, fd, 0, 4096)
-		blocking(fs).Read(p, fd, 0, 4096)
-	})
+	p := r.env.ContextTask("t")
+	fd, _ := blocking(fs).Create(p, "/plain/f")
+	blocking(fs).Write(p, fd, 0, blob.Synthetic(1, 0, 4096))
+	blocking(fs).Read(p, fd, 0, 4096)
+	blocking(fs).Read(p, fd, 0, 4096)
 	r.env.Run()
 	if got := r.mcds[0].Store().Len(); got != 0 {
 		t.Errorf("bank has %d items; nothing should populate it", got)

@@ -52,7 +52,7 @@ func TestIMCaRandomOpsMatchReference(t *testing.T) {
 			ref := &refFile{}
 			const fileMax = 64 << 10
 
-			r.run(t, func(p *sim.Proc) {
+			r.run(t, func(p *sim.Task) {
 				fd, err := blocking(r.client).Create(p, "/fuzz/f")
 				if err != nil {
 					t.Fatal(err)
@@ -123,41 +123,40 @@ func TestIMCaMultiClientRandomSharedReads(t *testing.T) {
 	_ = mcds
 	rng := newRand(99)
 	ref := &refFile{}
-	env.Process("driver", func(p *sim.Proc) {
-		w := mounts[0]
-		fd, err := blocking(w).Create(p, "/m/shared")
+	p := env.ContextTask("driver")
+	w := mounts[0]
+	fd, err := blocking(w).Create(p, "/m/shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rfds := make([]gluster.FD, len(mounts))
+	rfds[0] = fd
+	for i := 1; i < len(mounts); i++ {
+		if rfds[i], err = blocking(mounts[i]).Open(p, "/m/shared"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 30; round++ {
+		off := int64(rng.next() % 30000)
+		size := int64(rng.next()%4000) + 1
+		payload := blob.Synthetic(rng.next()|1, int64(round), size)
+		if _, err := blocking(w).Write(p, fd, off, payload); err != nil {
+			t.Fatal(err)
+		}
+		ref.write(off, payload.Bytes())
+
+		reader := 1 + int(rng.next()%uint64(len(mounts)-1))
+		roff := int64(rng.next() % 32000)
+		rsize := int64(rng.next()%6000) + 1
+		got, err := blocking(mounts[reader]).Read(p, rfds[reader], roff, rsize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rfds := make([]gluster.FD, len(mounts))
-		rfds[0] = fd
-		for i := 1; i < len(mounts); i++ {
-			if rfds[i], err = blocking(mounts[i]).Open(p, "/m/shared"); err != nil {
-				t.Fatal(err)
-			}
+		want := ref.read(roff, rsize)
+		if got.Len() != int64(len(want)) || !got.Equal(blob.FromBytes(want)) {
+			t.Fatalf("round %d: reader %d saw stale/wrong data at [%d,%d)", round, reader, roff, roff+rsize)
 		}
-		for round := 0; round < 30; round++ {
-			off := int64(rng.next() % 30000)
-			size := int64(rng.next()%4000) + 1
-			payload := blob.Synthetic(rng.next()|1, int64(round), size)
-			if _, err := blocking(w).Write(p, fd, off, payload); err != nil {
-				t.Fatal(err)
-			}
-			ref.write(off, payload.Bytes())
-
-			reader := 1 + int(rng.next()%uint64(len(mounts)-1))
-			roff := int64(rng.next() % 32000)
-			rsize := int64(rng.next()%6000) + 1
-			got, err := blocking(mounts[reader]).Read(p, rfds[reader], roff, rsize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := ref.read(roff, rsize)
-			if got.Len() != int64(len(want)) || !got.Equal(blob.FromBytes(want)) {
-				t.Fatalf("round %d: reader %d saw stale/wrong data at [%d,%d)", round, reader, roff, roff+rsize)
-			}
-		}
-	})
+	}
 	env.Run()
 }
 

@@ -14,7 +14,7 @@ import (
 
 func TestMCDFailureDoesNotLoseData(t *testing.T) {
 	r := newRig(t, 2, Config{BlockSize: 2048})
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/ha/file")
 		payload := blob.Synthetic(7, 0, 32<<10)
 		if _, err := blocking(r.client).Write(p, fd, 0, payload); err != nil {
@@ -42,7 +42,7 @@ func TestMCDFailureDuringWritesIsInvisible(t *testing.T) {
 	// Writes while the bank is down still persist; the cache update is
 	// silently dropped.
 	r := newRig(t, 1, Config{BlockSize: 2048})
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/ha/w")
 		r.mcds[0].Fail()
 		payload := blob.Synthetic(3, 0, 8192)
@@ -58,7 +58,7 @@ func TestMCDFailureDuringWritesIsInvisible(t *testing.T) {
 
 func TestMCDRecoveryRepopulatesOnAccess(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/ha/r")
 		payload := blob.Synthetic(5, 0, 4096)
 		blocking(r.client).Write(p, fd, 0, payload)
@@ -85,7 +85,7 @@ func TestMCDRecoveryRepopulatesOnAccess(t *testing.T) {
 func TestPartialBankFailureOnlyDegradesSomeKeys(t *testing.T) {
 	// With 4 MCDs and one dead, keys on the survivors keep hitting.
 	r := newRig(t, 4, Config{BlockSize: 2048})
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/ha/p")
 		blocking(r.client).Write(p, fd, 0, blob.Synthetic(9, 0, 64<<10))
 		r.mcds[0].Fail()
@@ -111,7 +111,7 @@ func TestFailedMCDStillCostsARoundTrip(t *testing.T) {
 	// paper's §4.4 cost asymmetry, exaggerated).
 	r := newRig(t, 1, Config{BlockSize: 2048})
 	var healthy, dead sim.Duration
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/ha/t")
 		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 2048))
 		start := p.Now()

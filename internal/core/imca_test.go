@@ -48,15 +48,17 @@ func newRig(t *testing.T, nMCD int, cfg Config) *rig {
 	return &rig{env: env, net: net, posix: px, smcache: sm, cmcache: cm, client: top, mcds: mcds}
 }
 
-func (r *rig) run(t *testing.T, fn func(p *sim.Proc)) {
+// run drives fn as the client's host-side script and completes the
+// simulation.
+func (r *rig) run(t *testing.T, fn func(p *sim.Task)) {
 	t.Helper()
-	r.env.Process("client", fn)
+	fn(r.env.ContextTask("client"))
 	r.env.Run()
 }
 
 func TestIMCaWriteThenReadHitsCache(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, err := blocking(r.client).Create(p, "/bench/f")
 		if err != nil {
 			t.Fatal(err)
@@ -84,7 +86,7 @@ func TestIMCaWriteThenReadHitsCache(t *testing.T) {
 
 func TestIMCaColdReadMissesThenHits(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		// Populate the file, then flush the MCD bank to simulate cold
 		// cache (without reopening, which would purge anyway).
 		fd, _ := blocking(r.client).Create(p, "/f")
@@ -109,7 +111,7 @@ func TestIMCaColdReadMissesThenHits(t *testing.T) {
 
 func TestIMCaUnalignedReadAssembledFromBlocks(t *testing.T) {
 	r := newRig(t, 2, Config{BlockSize: 256})
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/u")
 		payload := blob.Synthetic(9, 0, 4096)
 		blocking(r.client).Write(p, fd, 0, payload)
@@ -129,7 +131,7 @@ func TestIMCaUnalignedReadAssembledFromBlocks(t *testing.T) {
 
 func TestIMCaReadTailShortBlock(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/tail")
 		payload := blob.Synthetic(4, 0, 3000) // 1.46 blocks
 		blocking(r.client).Write(p, fd, 0, payload)
@@ -145,7 +147,7 @@ func TestIMCaReadTailShortBlock(t *testing.T) {
 
 func TestIMCaStatServedFromCache(t *testing.T) {
 	r := newRig(t, 1, Config{})
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/s")
 		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 1234))
 		st, err := blocking(r.client).Stat(p, "/s")
@@ -162,7 +164,7 @@ func TestIMCaStatServedFromCache(t *testing.T) {
 
 func TestIMCaStatMissFallsBackAndPopulates(t *testing.T) {
 	r := newRig(t, 1, Config{})
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/pop")
 		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 10))
 		for _, m := range r.mcds {
@@ -185,11 +187,11 @@ func TestIMCaStatReflectsWriteUpdates(t *testing.T) {
 	// Producer-consumer pattern: after a write, a consumer's stat must
 	// see the new size/mtime through the cache.
 	r := newRig(t, 1, Config{})
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/feed")
 		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 100))
 		st1, _ := blocking(r.client).Stat(p, "/feed")
-		p.Sleep(time.Second)
+		sim.Await(p, func(tk *sim.Task, done func()) { tk.Sleep(time.Second, done) })
 		blocking(r.client).Write(p, fd, 100, blob.Synthetic(1, 100, 200))
 		st2, _ := blocking(r.client).Stat(p, "/feed")
 		if st2.Size != 300 {
@@ -203,7 +205,7 @@ func TestIMCaStatReflectsWriteUpdates(t *testing.T) {
 
 func TestIMCaOpenPurgesStaleBlocks(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/purge")
 		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 4096))
 		bank := r.mcds[0].Store()
@@ -222,7 +224,7 @@ func TestIMCaOpenPurgesStaleBlocks(t *testing.T) {
 
 func TestIMCaClosePurges(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/c")
 		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 2048))
 		blocking(r.client).Close(p, fd)
@@ -234,7 +236,7 @@ func TestIMCaClosePurges(t *testing.T) {
 
 func TestIMCaDeletePurgesCache(t *testing.T) {
 	r := newRig(t, 2, Config{BlockSize: 2048})
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/del")
 		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 8192))
 		if err := blocking(r.client).Unlink(p, "/del"); err != nil {
@@ -260,7 +262,7 @@ func TestIMCaWriteLatencyThreadedVsInline(t *testing.T) {
 	measure := func(threaded bool) sim.Duration {
 		r := newRig(t, 1, Config{BlockSize: 2048, Threaded: threaded})
 		var total sim.Duration
-		r.run(t, func(p *sim.Proc) {
+		r.run(t, func(p *sim.Task) {
 			fd, _ := blocking(r.client).Create(p, "/w")
 			start := p.Now()
 			for i := int64(0); i < 64; i++ {
@@ -283,7 +285,7 @@ func TestIMCaSmallReadLatencyBeatsNoCache(t *testing.T) {
 	measure := func(bs int64) sim.Duration {
 		r := newRig(t, 1, Config{BlockSize: bs})
 		var total sim.Duration
-		r.run(t, func(p *sim.Proc) {
+		r.run(t, func(p *sim.Task) {
 			fd, _ := blocking(r.client).Create(p, "/lat")
 			blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 64<<10))
 			start := p.Now()
@@ -308,15 +310,14 @@ func TestIMCaSmallReadLatencyBeatsNoCache(t *testing.T) {
 		gluster.NewServer(srvNode, px, gluster.DefaultServerConfig)
 		top := gluster.NewFuse(cliNode, gluster.NewClient(cliNode, srvNode), gluster.DefaultFuseConfig)
 		var total sim.Duration
-		env.Process("client", func(p *sim.Proc) {
-			fd, _ := blocking(top).Create(p, "/lat")
-			blocking(top).Write(p, fd, 0, blob.Synthetic(1, 0, 64<<10))
-			start := p.Now()
-			for i := 0; i < 128; i++ {
-				blocking(top).Read(p, fd, int64(i*17)%60000, 1)
-			}
-			total = p.Now().Sub(start)
-		})
+		p := env.ContextTask("client")
+		fd, _ := blocking(top).Create(p, "/lat")
+		blocking(top).Write(p, fd, 0, blob.Synthetic(1, 0, 64<<10))
+		start := p.Now()
+		for i := 0; i < 128; i++ {
+			blocking(top).Read(p, fd, int64(i*17)%60000, 1)
+		}
+		total = p.Now().Sub(start)
 		env.Run()
 		return total
 	}()
@@ -337,7 +338,7 @@ func TestIMCaLargeReadFavorsNoCacheWithTinyBlocks(t *testing.T) {
 	// byte blocks (too many per-key costs).
 	r := newRig(t, 1, Config{BlockSize: 256})
 	var imcaTime sim.Duration
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/big")
 		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 1<<20))
 		start := p.Now()
@@ -356,16 +357,15 @@ func TestIMCaLargeReadFavorsNoCacheWithTinyBlocks(t *testing.T) {
 	gluster.NewServer(srvNode, px, gluster.DefaultServerConfig)
 	top := gluster.NewFuse(cliNode, gluster.NewClient(cliNode, srvNode), gluster.DefaultFuseConfig)
 	var noCacheTime sim.Duration
-	env.Process("client", func(p *sim.Proc) {
-		fd, _ := blocking(top).Create(p, "/big")
-		blocking(top).Write(p, fd, 0, blob.Synthetic(1, 0, 1<<20))
-		// Warm the server page cache as the write already did.
-		start := p.Now()
-		for i := int64(0); i < 8; i++ {
-			blocking(top).Read(p, fd, i*128<<10, 64<<10)
-		}
-		noCacheTime = p.Now().Sub(start)
-	})
+	p := env.ContextTask("client")
+	fd, _ := blocking(top).Create(p, "/big")
+	blocking(top).Write(p, fd, 0, blob.Synthetic(1, 0, 1<<20))
+	// Warm the server page cache as the write already did.
+	start := p.Now()
+	for i := int64(0); i < 8; i++ {
+		blocking(top).Read(p, fd, i*128<<10, 64<<10)
+	}
+	noCacheTime = p.Now().Sub(start)
 	env.Run()
 
 	if imcaTime <= noCacheTime {
@@ -436,7 +436,7 @@ func TestIMCaGrowthRefreshesStaleTailBlock(t *testing.T) {
 	// it, or cached reads would keep treating the old EOF as the end of
 	// file and return truncated data.
 	r := newRig(t, 1, Config{BlockSize: 2048})
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/tailgrow")
 		blocking(r.client).Write(p, fd, 0, blob.Synthetic(1, 0, 3000)) // tail block [2048,3000) short
 		// Grow far past the tail block, leaving a hole.

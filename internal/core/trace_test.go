@@ -17,7 +17,7 @@ import (
 func TestShortBlockForwardsToServer(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
 	payload := blob.Synthetic(7, 0, 6000)
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, err := blocking(r.client).Create(p, "/s")
 		if err != nil {
 			t.Fatal(err)
@@ -54,7 +54,7 @@ func TestShortBlockForwardsToServer(t *testing.T) {
 func TestLegitimateEOFShortReadStillWorks(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
 	payload := blob.Synthetic(8, 0, 3000)
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/e")
 		blocking(r.client).Write(p, fd, 0, payload)
 		// Request past EOF: blocks 0 (full) and 2048 (short tail). The
@@ -81,7 +81,7 @@ func TestDeadlineFallsBackToServer(t *testing.T) {
 	r := newRig(t, 1, Config{BlockSize: 2048})
 	col := optrace.NewCollector()
 	payload := blob.Synthetic(11, 0, 8192)
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/d")
 		blocking(r.client).Write(p, fd, 0, payload)
 		op := col.Begin(p, "read")
@@ -123,7 +123,7 @@ func TestDeadlineFallsBackToServer(t *testing.T) {
 func TestReadWithOneMCDDownCompletes(t *testing.T) {
 	r := newRig(t, 4, Config{BlockSize: 2048})
 	payload := blob.Synthetic(13, 0, 32768)
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/m")
 		blocking(r.client).Write(p, fd, 0, payload)
 		r.mcds[2].Fail()
@@ -148,7 +148,7 @@ func TestReadWithOneMCDDownCompletes(t *testing.T) {
 func TestTraceLayersSumToEndToEnd(t *testing.T) {
 	r := newRig(t, 2, Config{BlockSize: 2048})
 	col := optrace.NewCollector()
-	r.run(t, func(p *sim.Proc) {
+	r.run(t, func(p *sim.Task) {
 		fd, _ := blocking(r.client).Create(p, "/t")
 		blocking(r.client).Write(p, fd, 0, blob.Synthetic(5, 0, 8192))
 		col.Begin(p, "read")

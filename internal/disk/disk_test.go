@@ -7,19 +7,12 @@ import (
 	"imca/internal/sim"
 )
 
-func run(fn func(p *sim.Proc)) sim.Time {
-	env := sim.NewEnv()
-	env.Process("t", fn)
-	return env.Run()
-}
-
 func TestSequentialAccessPaysOneSeek(t *testing.T) {
 	env := sim.NewEnv()
 	d := New(env, Params{SeekTime: 10 * time.Millisecond, TransferRate: 100e6})
-	env.Process("t", func(p *sim.Proc) {
-		access(p, d, 0, 1e6, false)
-		access(p, d, 1e6, 1e6, false) // continues previous: no seek
-	})
+	p := env.ContextTask("t")
+	access(p, d, 0, 1e6, false)
+	access(p, d, 1e6, 1e6, false) // continues previous: no seek
 	env.Run()
 	if d.Seeks != 1 {
 		t.Errorf("Seeks = %d, want 1", d.Seeks)
@@ -34,11 +27,10 @@ func TestSequentialAccessPaysOneSeek(t *testing.T) {
 func TestRandomAccessPaysSeekEachTime(t *testing.T) {
 	env := sim.NewEnv()
 	d := New(env, Params{SeekTime: 5 * time.Millisecond, TransferRate: 100e6})
-	env.Process("t", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			access(p, d, int64(i)*1e9, 4096, false) // far apart
-		}
-	})
+	p := env.ContextTask("t")
+	for i := 0; i < 4; i++ {
+		access(p, d, int64(i)*1e9, 4096, false) // far apart
+	}
 	env.Run()
 	if d.Seeks != 4 {
 		t.Errorf("Seeks = %d, want 4", d.Seeks)
@@ -46,7 +38,7 @@ func TestRandomAccessPaysSeekEachTime(t *testing.T) {
 }
 
 func TestInterleavedStreamsDegrade(t *testing.T) {
-	// Two processes reading sequential but distinct regions through one
+	// Two streams reading sequential but distinct regions through one
 	// disk force a seek per access; aggregate throughput collapses versus
 	// a single stream.
 	mk := func(streams int) sim.Duration {
@@ -55,10 +47,16 @@ func TestInterleavedStreamsDegrade(t *testing.T) {
 		const per = 32
 		for s := 0; s < streams; s++ {
 			base := int64(s) * 1e10
-			env.Process("s", func(p *sim.Proc) {
-				for i := int64(0); i < per; i++ {
-					access(p, d, base+i*1e6, 1e6, false)
+			env.StartTask("s", func(tk *sim.Task) {
+				var next func(i int64)
+				next = func(i int64) {
+					if i == per {
+						tk.End()
+						return
+					}
+					d.Access(tk, base+i*1e6, 1e6, false, func() { next(i + 1) })
 				}
+				next(0)
 			})
 		}
 		return sim.Duration(env.Run())
@@ -78,9 +76,11 @@ func TestDiskArmSerializes(t *testing.T) {
 	var finish []sim.Time
 	for i := 0; i < 3; i++ {
 		i := i
-		env.Process("t", func(p *sim.Proc) {
-			access(p, d, int64(i)*1e8, 1e6, false)
-			finish = append(finish, p.Now())
+		env.StartTask("t", func(tk *sim.Task) {
+			d.Access(tk, int64(i)*1e8, 1e6, false, func() {
+				finish = append(finish, tk.Now())
+				tk.End()
+			})
 		})
 	}
 	env.Run()
@@ -92,10 +92,9 @@ func TestDiskArmSerializes(t *testing.T) {
 func TestWriteAccounting(t *testing.T) {
 	env := sim.NewEnv()
 	d := New(env, HighPoint2008)
-	env.Process("t", func(p *sim.Proc) {
-		access(p, d, 0, 1000, true)
-		access(p, d, 1000, 500, false)
-	})
+	p := env.ContextTask("t")
+	access(p, d, 0, 1000, true)
+	access(p, d, 1000, 500, false)
 	env.Run()
 	if d.Writes != 1 || d.BytesWritten != 1000 {
 		t.Errorf("writes=%d bytes=%d, want 1/1000", d.Writes, d.BytesWritten)
@@ -142,9 +141,8 @@ func TestArrayParallelSpeedup(t *testing.T) {
 	elapsed := func(n int) sim.Duration {
 		env := sim.NewEnv()
 		a := NewArray(env, n, 64<<10, Params{SeekTime: time.Millisecond, TransferRate: 100e6})
-		env.Process("t", func(p *sim.Proc) {
-			access(p, a, 0, 64<<20, false)
-		})
+		p := env.ContextTask("t")
+		access(p, a, 0, 64<<20, false)
 		return sim.Duration(env.Run())
 	}
 	one := elapsed(1)
@@ -158,9 +156,8 @@ func TestArrayParallelSpeedup(t *testing.T) {
 func TestArraySmallRequestSingleDisk(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArray(env, 8, 64<<10, HighPoint2008)
-	env.Process("t", func(p *sim.Proc) {
-		access(p, a, 0, 4096, false)
-	})
+	p := env.ContextTask("t")
+	access(p, a, 0, 4096, false)
 	env.Run()
 	if a.disks[0].Reads != 1 {
 		t.Errorf("disk0 reads = %d, want 1", a.disks[0].Reads)
@@ -177,9 +174,8 @@ func TestArrayCoalescesSequentialChunks(t *testing.T) {
 	// 64K chunks per disk -> coalesced to 1 access (1 seek) per disk.
 	env := sim.NewEnv()
 	a := NewArray(env, 2, 64<<10, Params{SeekTime: time.Millisecond, TransferRate: 100e6})
-	env.Process("t", func(p *sim.Proc) {
-		access(p, a, 0, 1<<20, false)
-	})
+	p := env.ContextTask("t")
+	access(p, a, 0, 1<<20, false)
 	env.Run()
 	for i, d := range a.disks {
 		if d.Seeks != 1 {
@@ -191,16 +187,15 @@ func TestArrayCoalescesSequentialChunks(t *testing.T) {
 func TestZeroSizeAccessIsFree(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArray(env, 2, 1024, HighPoint2008)
-	env.Process("t", func(p *sim.Proc) {
-		access(p, a, 0, 0, false)
-		if p.Now() != 0 {
-			t.Error("zero-size access advanced time")
-		}
-	})
+	p := env.ContextTask("t")
+	access(p, a, 0, 0, false)
+	if p.Now() != 0 {
+		t.Error("zero-size access advanced time")
+	}
 	env.Run()
 }
 
-// access drives one device access from a test process.
-func access(p *sim.Proc, dev Device, addr, size int64, write bool) {
+// access drives one device access from a test script.
+func access(p *sim.Task, dev Device, addr, size int64, write bool) {
 	sim.Await(p, func(t *sim.Task, done func()) { dev.Access(t, addr, size, write, done) })
 }

@@ -8,7 +8,6 @@ import (
 	"imca/internal/gluster"
 	"imca/internal/metrics"
 	"imca/internal/optrace"
-	"imca/internal/sim"
 )
 
 // ExtBreakdown decomposes the latency of a single warm 2 KB read by stack
@@ -34,23 +33,22 @@ func ExtBreakdown(o Options) *Result {
 		})
 		col := optrace.NewCollector()
 		fs := gluster.Sync{FS: c.Mounts[0].FS}
-		c.Env.Process("ext-breakdown", func(p *sim.Proc) {
-			fd, err := fs.Create(p, "/b")
-			if err != nil {
-				panic(fmt.Sprintf("ext-breakdown: create: %v", err))
-			}
-			if _, err := fs.Write(p, fd, 0, blob.Synthetic(1, 0, 65536)); err != nil {
-				panic(fmt.Sprintf("ext-breakdown: write: %v", err))
-			}
-			col.Begin(p, "read")
-			root := optrace.StartSpan(p, optrace.LayerOp, "read")
-			data, err := fs.Read(p, fd, 0, record)
-			root.End(p)
-			col.End(p)
-			if err != nil || data.Len() != record {
-				panic(fmt.Sprintf("ext-breakdown: read %d bytes: %v", data.Len(), err))
-			}
-		})
+		t := c.Env.ContextTask("ext-breakdown")
+		fd, err := fs.Create(t, "/b")
+		if err != nil {
+			panic(fmt.Sprintf("ext-breakdown: create: %v", err))
+		}
+		if _, err := fs.Write(t, fd, 0, blob.Synthetic(1, 0, 65536)); err != nil {
+			panic(fmt.Sprintf("ext-breakdown: write: %v", err))
+		}
+		col.Begin(t, "read")
+		root := optrace.StartSpan(t, optrace.LayerOp, "read")
+		data, err := fs.Read(t, fd, 0, record)
+		root.End(t)
+		col.End(t)
+		if err != nil || data.Len() != record {
+			panic(fmt.Sprintf("ext-breakdown: read %d bytes: %v", data.Len(), err))
+		}
 		c.Env.Run()
 		return run{fmt.Sprintf("IMCa-%s", fmtSize(bs)), col.Breakdown()}
 	})

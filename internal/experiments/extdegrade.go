@@ -90,24 +90,21 @@ func ExtDegrade(o Options) *Result {
 		reg.Counter("reader.ops", func() uint64 { return reads })
 
 		// Produce the dataset and warm the bank (one full pass), untimed.
-		var fd gluster.FD
-		env.Process("ext-degrade-warm", func(p *sim.Proc) {
-			var err error
-			fd, err = fs.Create(p, "/degrade/f0")
-			if err != nil {
-				panic(fmt.Sprintf("ext-degrade: create: %v", err))
+		warm := env.ContextTask("ext-degrade-warm")
+		fd, err := fs.Create(warm, "/degrade/f0")
+		if err != nil {
+			panic(fmt.Sprintf("ext-degrade: create: %v", err))
+		}
+		for off := int64(0); off < fileSize; off += recSize {
+			if _, err := fs.Write(warm, fd, off, blob.Synthetic(1, off, recSize)); err != nil {
+				panic(fmt.Sprintf("ext-degrade: write: %v", err))
 			}
-			for off := int64(0); off < fileSize; off += recSize {
-				if _, err := fs.Write(p, fd, off, blob.Synthetic(1, off, recSize)); err != nil {
-					panic(fmt.Sprintf("ext-degrade: write: %v", err))
-				}
+		}
+		for off := int64(0); off < fileSize; off += recSize {
+			if _, err := fs.Read(warm, fd, off, recSize); err != nil {
+				panic(fmt.Sprintf("ext-degrade: warm read: %v", err))
 			}
-			for off := int64(0); off < fileSize; off += recSize {
-				if _, err := fs.Read(p, fd, off, recSize); err != nil {
-					panic(fmt.Sprintf("ext-degrade: warm read: %v", err))
-				}
-			}
-		})
+		}
 		env.Run()
 
 		start := env.Now()
@@ -131,26 +128,25 @@ func ExtDegrade(o Options) *Result {
 			panic(fmt.Sprintf("ext-degrade: arm: %v", err))
 		}
 		smp := telemetry.NewSampler(env, reg, interval)
-		env.Process("ext-degrade-read", func(p *sim.Proc) {
-			end := start.Add(window)
-			off := int64(0)
-			for p.Now() < end {
-				if _, err := fs.Read(p, fd, off, recSize); err != nil {
-					panic(fmt.Sprintf("ext-degrade: read: %v", err))
-				}
-				// The stat keeps single-key bank traffic flowing, which is
-				// what feeds the latency-suspicion EWMA (an open/stat mix is
-				// also what real clients issue).
-				if _, err := fs.Stat(p, "/degrade/f0"); err != nil {
-					panic(fmt.Sprintf("ext-degrade: stat: %v", err))
-				}
-				reads++
-				off += recSize
-				if off >= fileSize {
-					off = 0
-				}
+		reader := env.ContextTask("ext-degrade-read")
+		end := start.Add(window)
+		off := int64(0)
+		for reader.Now() < end {
+			if _, err := fs.Read(reader, fd, off, recSize); err != nil {
+				panic(fmt.Sprintf("ext-degrade: read: %v", err))
 			}
-		})
+			// The stat keeps single-key bank traffic flowing, which is
+			// what feeds the latency-suspicion EWMA (an open/stat mix is
+			// also what real clients issue).
+			if _, err := fs.Stat(reader, "/degrade/f0"); err != nil {
+				panic(fmt.Sprintf("ext-degrade: stat: %v", err))
+			}
+			reads++
+			off += recSize
+			if off >= fileSize {
+				off = 0
+			}
+		}
 		env.Run()
 		smp.Stop()
 

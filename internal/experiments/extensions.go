@@ -192,41 +192,53 @@ func ExtSharing(o Options) *Result {
 
 	measure := func(mounts []gluster.FS, env *sim.Env) sim.Duration {
 		nc := len(mounts)
-		var fds []gluster.FD
-		env.Process("setup", func(p *sim.Proc) {
-			fds = make([]gluster.FD, nc)
-			var err error
-			if fds[0], err = (gluster.Sync{FS: mounts[0]}).Create(p, "/rw/shared"); err != nil {
+		setup := env.ContextTask("setup")
+		fds := make([]gluster.FD, nc)
+		var err error
+		if fds[0], err = (gluster.Sync{FS: mounts[0]}).Create(setup, "/rw/shared"); err != nil {
+			panic(err)
+		}
+		_, _ = (gluster.Sync{FS: mounts[0]}).Write(setup, fds[0], 0, blob.Synthetic(1, 0, chunk))
+		for i := 1; i < nc; i++ {
+			if fds[i], err = (gluster.Sync{FS: mounts[i]}).Open(setup, "/rw/shared"); err != nil {
 				panic(err)
 			}
-			_, _ = (gluster.Sync{FS: mounts[0]}).Write(p, fds[0], 0, blob.Synthetic(1, 0, chunk))
-			for i := 1; i < nc; i++ {
-				if fds[i], err = (gluster.Sync{FS: mounts[i]}).Open(p, "/rw/shared"); err != nil {
-					panic(err)
-				}
-			}
-		})
+		}
 		env.Run()
 
+		// The rounds run concurrently, so each client is a task: a writer
+		// update (client 0), a barrier, a timed read, a barrier, per round.
 		bar := sim.NewBarrier(env, nc)
-		arrive := func(t *sim.Task, done func()) { bar.Wait(t, done) }
 		var readTime sim.Duration
 		for i := 0; i < nc; i++ {
 			i := i
-			fs := gluster.Sync{FS: mounts[i]}
-			env.Process(fmt.Sprintf("rw-%d", i), func(p *sim.Proc) {
-				for r := 0; r < rounds; r++ {
+			fs := mounts[i]
+			env.StartTask(fmt.Sprintf("rw-%d", i), func(t *sim.Task) {
+				var round func(r int)
+				round = func(r int) {
+					if r == rounds {
+						t.End()
+						return
+					}
+					read := func() {
+						bar.Wait(t, func() {
+							t0 := t.Now()
+							fs.Read(t, fds[i], 0, chunk, func(_ blob.Blob, err error) {
+								if err != nil {
+									panic(err)
+								}
+								readTime += t.Now().Sub(t0)
+								bar.Wait(t, func() { round(r + 1) })
+							})
+						})
+					}
 					if i == 0 {
-						_, _ = (gluster.Sync{FS: mounts[0]}).Write(p, fds[0], 0, blob.Synthetic(uint64(r)+2, 0, chunk))
+						fs.Write(t, fds[0], 0, blob.Synthetic(uint64(r)+2, 0, chunk), func(int64, error) { read() })
+						return
 					}
-					sim.Await(p, arrive)
-					t0 := p.Now()
-					if _, err := fs.Read(p, fds[i], 0, chunk); err != nil {
-						panic(err)
-					}
-					readTime += p.Now().Sub(t0)
-					sim.Await(p, arrive)
+					read()
 				}
+				round(0)
 			})
 		}
 		env.Run()

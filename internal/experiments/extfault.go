@@ -80,24 +80,21 @@ func ExtFault(o Options) *Result {
 		reg.Counter("reader.busy_ns", func() uint64 { return busyNs })
 
 		// Produce the dataset and warm the bank (one full pass), untimed.
-		var fd gluster.FD
-		env.Process("ext-fault-warm", func(p *sim.Proc) {
-			var err error
-			fd, err = fs.Create(p, "/fault/f0")
-			if err != nil {
-				panic(fmt.Sprintf("ext-fault: create: %v", err))
+		warm := env.ContextTask("ext-fault-warm")
+		fd, err := fs.Create(warm, "/fault/f0")
+		if err != nil {
+			panic(fmt.Sprintf("ext-fault: create: %v", err))
+		}
+		for off := int64(0); off < fileSize; off += recSize {
+			if _, err := fs.Write(warm, fd, off, blob.Synthetic(1, off, recSize)); err != nil {
+				panic(fmt.Sprintf("ext-fault: write: %v", err))
 			}
-			for off := int64(0); off < fileSize; off += recSize {
-				if _, err := fs.Write(p, fd, off, blob.Synthetic(1, off, recSize)); err != nil {
-					panic(fmt.Sprintf("ext-fault: write: %v", err))
-				}
+		}
+		for off := int64(0); off < fileSize; off += recSize {
+			if _, err := fs.Read(warm, fd, off, recSize); err != nil {
+				panic(fmt.Sprintf("ext-fault: warm read: %v", err))
 			}
-			for off := int64(0); off < fileSize; off += recSize {
-				if _, err := fs.Read(p, fd, off, recSize); err != nil {
-					panic(fmt.Sprintf("ext-fault: warm read: %v", err))
-				}
-			}
-		})
+		}
 		env.Run()
 
 		// Measurement: arm the outage relative to now and read until the
@@ -121,22 +118,21 @@ func ExtFault(o Options) *Result {
 			panic(fmt.Sprintf("ext-fault: arm: %v", err))
 		}
 		smp := telemetry.NewSampler(env, reg, interval)
-		env.Process("ext-fault-read", func(p *sim.Proc) {
-			end := start.Add(window)
-			off := int64(0)
-			for p.Now() < end {
-				t0 := p.Now()
-				if _, err := fs.Read(p, fd, off, recSize); err != nil {
-					panic(fmt.Sprintf("ext-fault: read: %v", err))
-				}
-				busyNs += uint64(p.Now().Sub(t0))
-				reads++
-				off += recSize
-				if off >= fileSize {
-					off = 0
-				}
+		reader := env.ContextTask("ext-fault-read")
+		end := start.Add(window)
+		off := int64(0)
+		for reader.Now() < end {
+			t0 := reader.Now()
+			if _, err := fs.Read(reader, fd, off, recSize); err != nil {
+				panic(fmt.Sprintf("ext-fault: read: %v", err))
 			}
-		})
+			busyNs += uint64(reader.Now().Sub(t0))
+			reads++
+			off += recSize
+			if off >= fileSize {
+				off = 0
+			}
+		}
 		env.Run()
 		smp.Stop()
 

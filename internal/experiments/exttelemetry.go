@@ -9,7 +9,6 @@ import (
 	"imca/internal/cluster"
 	"imca/internal/gluster"
 	"imca/internal/metrics"
-	"imca/internal/sim"
 	"imca/internal/telemetry"
 )
 
@@ -43,19 +42,16 @@ func ExtTelemetry(o Options) *Result {
 	fs := gluster.Sync{FS: c.Mounts[0].FS}
 
 	// Produce the dataset (untimed, unsampled).
-	var fd gluster.FD
-	env.Process("ext-telemetry-write", func(p *sim.Proc) {
-		var err error
-		fd, err = fs.Create(p, "/warm/f0")
-		if err != nil {
-			panic(fmt.Sprintf("ext-telemetry: create: %v", err))
+	writer := env.ContextTask("ext-telemetry-write")
+	fd, err := fs.Create(writer, "/warm/f0")
+	if err != nil {
+		panic(fmt.Sprintf("ext-telemetry: create: %v", err))
+	}
+	for off := int64(0); off < fileSize; off += recSize {
+		if _, err := fs.Write(writer, fd, off, blob.Synthetic(1, off, recSize)); err != nil {
+			panic(fmt.Sprintf("ext-telemetry: write: %v", err))
 		}
-		for off := int64(0); off < fileSize; off += recSize {
-			if _, err := fs.Write(p, fd, off, blob.Synthetic(1, off, recSize)); err != nil {
-				panic(fmt.Sprintf("ext-telemetry: write: %v", err))
-			}
-		}
-	})
+	}
 	env.Run()
 
 	// Cold start: empty the bank and the server's buffer cache (and zero
@@ -70,15 +66,14 @@ func ExtTelemetry(o Options) *Result {
 
 	start := env.Now()
 	smp := telemetry.NewSampler(env, reg, interval)
-	env.Process("ext-telemetry-read", func(p *sim.Proc) {
-		for pass := 0; pass < passes; pass++ {
-			for off := int64(0); off < fileSize; off += recSize {
-				if _, err := fs.Read(p, fd, off, recSize); err != nil {
-					panic(fmt.Sprintf("ext-telemetry: read: %v", err))
-				}
+	reader := env.ContextTask("ext-telemetry-read")
+	for pass := 0; pass < passes; pass++ {
+		for off := int64(0); off < fileSize; off += recSize {
+			if _, err := fs.Read(reader, fd, off, recSize); err != nil {
+				panic(fmt.Sprintf("ext-telemetry: read: %v", err))
 			}
 		}
-	})
+	}
 	env.Run()
 	smp.Sample(env.Now()) // close the series at the end of the workload
 	smp.Stop()

@@ -14,22 +14,21 @@ import (
 func TestCallDeadlineAtEntry(t *testing.T) {
 	env, a, b := newPair(t, IPoIB)
 	col := optrace.NewCollector()
-	env.Process("client", func(p *sim.Proc) {
-		op := col.Begin(p, "rpc")
-		op.SetDeadline(p.Now()) // now >= deadline: no budget at all
-		start := p.Now()
-		resp, err := syncCall(p, a, b, "echo", Bytes(0))
-		if !errors.Is(err, ErrDeadline) {
-			t.Errorf("err = %v, want ErrDeadline", err)
-		}
-		if resp != nil {
-			t.Errorf("resp = %v, want nil", resp)
-		}
-		if p.Now() != start {
-			t.Errorf("expired-at-entry call advanced time by %v", p.Now().Sub(start))
-		}
-		col.End(p)
-	})
+	p := env.ContextTask("client")
+	op := col.Begin(p, "rpc")
+	op.SetDeadline(p.Now()) // now >= deadline: no budget at all
+	start := p.Now()
+	resp, err := syncCall(p, a, b, "echo", Bytes(0))
+	if !errors.Is(err, ErrDeadline) {
+		t.Errorf("err = %v, want ErrDeadline", err)
+	}
+	if resp != nil {
+		t.Errorf("resp = %v, want nil", resp)
+	}
+	if p.Now() != start {
+		t.Errorf("expired-at-entry call advanced time by %v", p.Now().Sub(start))
+	}
+	col.End(p)
 	env.Run()
 	if a.TxMsgs != 0 {
 		t.Errorf("expired-at-entry call sent %d messages", a.TxMsgs)
@@ -53,27 +52,26 @@ func TestCallDeadlineMidCall(t *testing.T) {
 	})
 	col := optrace.NewCollector()
 	const budget = 100 * time.Microsecond
-	env.Process("client", func(p *sim.Proc) {
-		op := col.Begin(p, "rpc")
-		deadline := p.Now().Add(budget)
-		op.SetDeadline(deadline)
-		resp, err := syncCall(p, a, b, "slow", Bytes(0))
-		if !errors.Is(err, ErrDeadline) {
-			t.Errorf("err = %v, want ErrDeadline", err)
-		}
-		if resp != nil {
-			t.Errorf("resp = %v, want nil", resp)
-		}
-		if p.Now() != deadline {
-			t.Errorf("caller resumed at %v, want the deadline %v", p.Now(), deadline)
-		}
-		col.End(p)
-	})
+	p := env.ContextTask("client")
+	op := col.Begin(p, "rpc")
+	deadline := p.Now().Add(budget)
+	op.SetDeadline(deadline)
+	resp, err := syncCall(p, a, b, "slow", Bytes(0))
+	if !errors.Is(err, ErrDeadline) {
+		t.Errorf("err = %v, want ErrDeadline", err)
+	}
+	if resp != nil {
+		t.Errorf("resp = %v, want nil", resp)
+	}
+	if p.Now() != deadline {
+		t.Errorf("caller resumed at %v, want the deadline %v", p.Now(), deadline)
+	}
+	col.End(p)
 	env.Run()
 	if !handled {
 		t.Error("handler did not run to completion after the caller abandoned")
 	}
-	op := col.Last
+	op = col.Last
 	if op == nil {
 		t.Fatal("no traced op")
 	}
@@ -96,36 +94,35 @@ func TestCallDeadlineMidCall(t *testing.T) {
 func TestCallSpans(t *testing.T) {
 	env, a, b := newPair(t, IPoIB)
 	col := optrace.NewCollector()
-	env.Process("client", func(p *sim.Proc) {
-		col.Begin(p, "rpc")
-		start := p.Now()
-		if _, err := syncCall(p, a, b, "echo", Bytes(64)); err != nil {
-			t.Errorf("Call: %v", err)
+	p := env.ContextTask("client")
+	col.Begin(p, "rpc")
+	start := p.Now()
+	if _, err := syncCall(p, a, b, "echo", Bytes(64)); err != nil {
+		t.Errorf("Call: %v", err)
+	}
+	rtt := p.Now().Sub(start)
+	op := col.End(p)
+	var outer, request *optrace.Span
+	for _, s := range op.Spans {
+		switch s.Name {
+		case "echo":
+			outer = s
+		case "request":
+			request = s
 		}
-		rtt := p.Now().Sub(start)
-		op := col.End(p)
-		var outer, request *optrace.Span
-		for _, s := range op.Spans {
-			switch s.Name {
-			case "echo":
-				outer = s
-			case "request":
-				request = s
-			}
-		}
-		if outer == nil || request == nil {
-			t.Fatalf("missing spans: outer=%v request=%v", outer, request)
-		}
-		if outer.Dur() != rtt {
-			t.Errorf("net span %v != observed RTT %v", outer.Dur(), rtt)
-		}
-		if request.Depth() != outer.Depth()+1 {
-			t.Errorf("request segment not nested under the call span")
-		}
-		if outer.Attr("to") != "b" {
-			t.Errorf("net span to=%q, want b", outer.Attr("to"))
-		}
-	})
+	}
+	if outer == nil || request == nil {
+		t.Fatalf("missing spans: outer=%v request=%v", outer, request)
+	}
+	if outer.Dur() != rtt {
+		t.Errorf("net span %v != observed RTT %v", outer.Dur(), rtt)
+	}
+	if request.Depth() != outer.Depth()+1 {
+		t.Errorf("request segment not nested under the call span")
+	}
+	if outer.Attr("to") != "b" {
+		t.Errorf("net span to=%q, want b", outer.Attr("to"))
+	}
 	env.Run()
 }
 
@@ -137,17 +134,16 @@ func TestCallUntracedUnchanged(t *testing.T) {
 		env, a, b := newPair(t, IPoIB)
 		col := optrace.NewCollector()
 		var d sim.Duration
-		env.Process("client", func(p *sim.Proc) {
-			if traced {
-				col.Begin(p, "rpc")
-			}
-			start := p.Now()
-			syncCall(p, a, b, "echo", Bytes(4096))
-			d = p.Now().Sub(start)
-			if traced {
-				col.End(p)
-			}
-		})
+		p := env.ContextTask("client")
+		if traced {
+			col.Begin(p, "rpc")
+		}
+		start := p.Now()
+		syncCall(p, a, b, "echo", Bytes(4096))
+		d = p.Now().Sub(start)
+		if traced {
+			col.End(p)
+		}
 		env.Run()
 		return d
 	}

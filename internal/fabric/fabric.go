@@ -22,7 +22,7 @@ import (
 	"imca/internal/telemetry"
 )
 
-// ErrDeadline is returned by Call when the calling process's operation
+// ErrDeadline is returned by Call when the calling task's operation
 // context (see optrace) has a virtual-time deadline that the call would
 // pass. Cache layers treat it as a miss; the wire and the far daemon may
 // still carry the abandoned request and response.

@@ -10,8 +10,8 @@ import (
 // echo returns the request payload size as the response.
 func echo(t *sim.Task, from *Node, req Msg, respond func(Msg)) { respond(req) }
 
-// syncCall performs a blocking RPC from a test process.
-func syncCall(p *sim.Proc, nd, dst *Node, service string, req Msg) (resp Msg, err error) {
+// syncCall performs a blocking RPC from a test script.
+func syncCall(p *sim.Task, nd, dst *Node, service string, req Msg) (resp Msg, err error) {
 	sim.Await(p, func(t *sim.Task, done func()) {
 		nd.Call(t, dst, service, req, func(m Msg, e error) { resp, err = m, e; done() })
 	})
@@ -34,11 +34,10 @@ func TestCallRoundTripLatency(t *testing.T) {
 	// response processing overhead.
 	env, a, b := newPair(t, IPoIB)
 	var rtt sim.Duration
-	env.Process("client", func(p *sim.Proc) {
-		start := p.Now()
-		syncCall(p, a, b, "echo", Bytes(0))
-		rtt = p.Now().Sub(start)
-	})
+	p := env.ContextTask("client")
+	start := p.Now()
+	syncCall(p, a, b, "echo", Bytes(0))
+	rtt = p.Now().Sub(start)
 	env.Run()
 	if rtt < 2*IPoIB.Latency {
 		t.Errorf("RTT %v below 2x wire latency %v", rtt, 2*IPoIB.Latency)
@@ -53,11 +52,10 @@ func TestTransportOrdering(t *testing.T) {
 	var rtts []sim.Duration
 	for _, tr := range []Transport{RDMA, IPoIB, GigE} {
 		env, a, b := newPair(t, tr)
-		env.Process("client", func(p *sim.Proc) {
-			start := p.Now()
-			syncCall(p, a, b, "echo", Bytes(16))
-			rtts = append(rtts, p.Now().Sub(start))
-		})
+		p := env.ContextTask("client")
+		start := p.Now()
+		syncCall(p, a, b, "echo", Bytes(16))
+		rtts = append(rtts, p.Now().Sub(start))
 		env.Run()
 	}
 	if !(rtts[0] < rtts[1] && rtts[1] < rtts[2]) {
@@ -69,11 +67,10 @@ func TestLargeTransferBandwidthBound(t *testing.T) {
 	// A 10 MB transfer over GigE must take at least 10e6/117e6 s each way.
 	env, a, b := newPair(t, GigE)
 	var elapsed sim.Duration
-	env.Process("client", func(p *sim.Proc) {
-		start := p.Now()
-		syncCall(p, a, b, "echo", Bytes(10e6))
-		elapsed = p.Now().Sub(start)
-	})
+	p := env.ContextTask("client")
+	start := p.Now()
+	syncCall(p, a, b, "echo", Bytes(10e6))
+	elapsed = p.Now().Sub(start)
 	env.Run()
 	minOneWay := time.Duration(10e6 / GigE.Bandwidth * 1e9)
 	if elapsed < 2*minOneWay {
@@ -91,9 +88,11 @@ func TestServerRxSerializesConcurrentSenders(t *testing.T) {
 	var finish []sim.Time
 	for i := 0; i < 2; i++ {
 		c := net.NewNode("c"+string(rune('0'+i)), 8)
-		env.Process("client", func(p *sim.Proc) {
-			syncCall(p, c, srv, "echo", Bytes(5e6))
-			finish = append(finish, p.Now())
+		env.StartTask("client", func(tk *sim.Task) {
+			c.Call(tk, srv, "echo", Bytes(5e6), func(Msg, error) {
+				finish = append(finish, tk.Now())
+				tk.End()
+			})
 		})
 	}
 	env.Run()
@@ -116,11 +115,10 @@ func TestHandlerRunsOnServerAndCanSleep(t *testing.T) {
 		t.Sleep(time.Millisecond, func() { respond(Bytes(0)) }) // e.g. disk access
 	})
 	var rtt sim.Duration
-	env.Process("client", func(p *sim.Proc) {
-		start := p.Now()
-		syncCall(p, a, b, "slow", Bytes(0))
-		rtt = p.Now().Sub(start)
-	})
+	p := env.ContextTask("client")
+	start := p.Now()
+	syncCall(p, a, b, "slow", Bytes(0))
+	rtt = p.Now().Sub(start)
 	env.Run()
 	if rtt < time.Millisecond {
 		t.Errorf("RTT %v does not include handler service time", rtt)
@@ -139,14 +137,13 @@ func TestNestedCalls(t *testing.T) {
 		b.Call(t, c, "leaf", req, func(resp Msg, _ error) { respond(resp) })
 	})
 	var direct, nested sim.Duration
-	env.Process("client", func(p *sim.Proc) {
-		s := p.Now()
-		syncCall(p, a, c, "leaf", Bytes(8))
-		direct = p.Now().Sub(s)
-		s = p.Now()
-		syncCall(p, a, b, "mid", Bytes(8))
-		nested = p.Now().Sub(s)
-	})
+	p := env.ContextTask("client")
+	s := p.Now()
+	syncCall(p, a, c, "leaf", Bytes(8))
+	direct = p.Now().Sub(s)
+	s = p.Now()
+	syncCall(p, a, b, "mid", Bytes(8))
+	nested = p.Now().Sub(s)
 	env.Run()
 	if nested < direct+2*IPoIB.Latency {
 		t.Errorf("nested call %v not slower than direct %v by an extra hop", nested, direct)
@@ -155,9 +152,8 @@ func TestNestedCalls(t *testing.T) {
 
 func TestTrafficAccounting(t *testing.T) {
 	env, a, b := newPair(t, IPoIB)
-	env.Process("client", func(p *sim.Proc) {
-		syncCall(p, a, b, "echo", Bytes(1000))
-	})
+	p := env.ContextTask("client")
+	syncCall(p, a, b, "echo", Bytes(1000))
 	env.Run()
 	if a.TxMsgs != 1 || a.RxMsgs != 1 || b.TxMsgs != 1 || b.RxMsgs != 1 {
 		t.Errorf("message counts wrong: a tx/rx=%d/%d b tx/rx=%d/%d", a.TxMsgs, a.RxMsgs, b.TxMsgs, b.RxMsgs)
@@ -172,14 +168,13 @@ func TestTrafficAccounting(t *testing.T) {
 
 func TestUnknownServicePanics(t *testing.T) {
 	env, a, b := newPair(t, IPoIB)
-	env.Process("client", func(p *sim.Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic calling unknown service")
-			}
-		}()
-		syncCall(p, a, b, "nope", Bytes(0))
-	})
+	p := env.ContextTask("client")
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic calling unknown service")
+		}
+	}()
+	syncCall(p, a, b, "nope", Bytes(0))
 	env.Run()
 }
 
@@ -207,11 +202,13 @@ func TestManyClientsOneServerCPUSaturation(t *testing.T) {
 	const n = 64
 	for i := 0; i < n; i++ {
 		c := net.NewNode(nodeName(i), 8)
-		env.Process("client", func(p *sim.Proc) {
-			syncCall(p, c, srv, "echo", Bytes(0))
-			if p.Now() > last {
-				last = p.Now()
-			}
+		env.StartTask("client", func(tk *sim.Task) {
+			c.Call(tk, srv, "echo", Bytes(0), func(Msg, error) {
+				if tk.Now() > last {
+					last = tk.Now()
+				}
+				tk.End()
+			})
 		})
 	}
 	env.Run()
@@ -239,11 +236,10 @@ func TestPerByteCPUChargesHost(t *testing.T) {
 		b := net.NewNode("b", 1)
 		b.Handle("echo", echo)
 		var d sim.Duration
-		env.Process("c", func(p *sim.Proc) {
-			start := p.Now()
-			syncCall(p, a, b, "echo", Bytes(1<<20))
-			d = p.Now().Sub(start)
-		})
+		p := env.ContextTask("c")
+		start := p.Now()
+		syncCall(p, a, b, "echo", Bytes(1<<20))
+		d = p.Now().Sub(start)
 		env.Run()
 		return d
 	}
@@ -269,11 +265,13 @@ func TestCPUContentionSlowsProtocolProcessing(t *testing.T) {
 		var last sim.Time
 		for i := 0; i < 16; i++ {
 			c := net.NewNode(nodeName(i), 8)
-			env.Process("c", func(p *sim.Proc) {
-				syncCall(p, c, srv, "echo", Bytes(0))
-				if p.Now() > last {
-					last = p.Now()
-				}
+			env.StartTask("c", func(tk *sim.Task) {
+				c.Call(tk, srv, "echo", Bytes(0), func(Msg, error) {
+					if tk.Now() > last {
+						last = tk.Now()
+					}
+					tk.End()
+				})
 			})
 		}
 		env.Run()

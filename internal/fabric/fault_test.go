@@ -15,19 +15,18 @@ import (
 func TestCutLinkRefusesAfterTimeout(t *testing.T) {
 	env, a, b := newPair(t, IPoIB)
 	a.net.CutLink("a", "b")
-	env.Process("client", func(p *sim.Proc) {
-		start := p.Now()
-		resp, err := syncCall(p, a, b, "echo", Bytes(64))
-		if !errors.Is(err, ErrUnreachable) {
-			t.Errorf("err = %v, want ErrUnreachable", err)
-		}
-		if resp != nil {
-			t.Errorf("resp = %v, want nil", resp)
-		}
-		if got := p.Now().Sub(start); got != DefaultConnectTimeout {
-			t.Errorf("refused call took %v, want the %v connect timeout", got, DefaultConnectTimeout)
-		}
-	})
+	p := env.ContextTask("client")
+	start := p.Now()
+	resp, err := syncCall(p, a, b, "echo", Bytes(64))
+	if !errors.Is(err, ErrUnreachable) {
+		t.Errorf("err = %v, want ErrUnreachable", err)
+	}
+	if resp != nil {
+		t.Errorf("resp = %v, want nil", resp)
+	}
+	if got := p.Now().Sub(start); got != DefaultConnectTimeout {
+		t.Errorf("refused call took %v, want the %v connect timeout", got, DefaultConnectTimeout)
+	}
 	env.Run()
 	if a.TxMsgs != 0 {
 		t.Errorf("refused call sent %d messages", a.TxMsgs)
@@ -45,11 +44,10 @@ func TestCutLinkUnorderedPair(t *testing.T) {
 	if !a.net.LinkCut("a", "b") {
 		t.Fatal("LinkCut(a, b) = false after CutLink(b, a)")
 	}
-	env.Process("client", func(p *sim.Proc) {
-		if _, err := syncCall(p, a, b, "echo", Bytes(0)); !errors.Is(err, ErrUnreachable) {
-			t.Errorf("err = %v, want ErrUnreachable", err)
-		}
-	})
+	p := env.ContextTask("client")
+	if _, err := syncCall(p, a, b, "echo", Bytes(0)); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("err = %v, want ErrUnreachable", err)
+	}
 	env.Run()
 }
 
@@ -59,24 +57,22 @@ func TestHealLinkRestores(t *testing.T) {
 	env, a, b := newPair(t, IPoIB)
 
 	var healthy sim.Duration
-	env.Process("baseline", func(p *sim.Proc) {
-		start := p.Now()
-		syncCall(p, a, b, "echo", Bytes(256))
-		healthy = p.Now().Sub(start)
-	})
+	p := env.ContextTask("baseline")
+	start := p.Now()
+	syncCall(p, a, b, "echo", Bytes(256))
+	healthy = p.Now().Sub(start)
 	env.Run()
 
 	a.net.CutLink("a", "b")
 	a.net.HealLink("a", "b")
-	env.Process("client", func(p *sim.Proc) {
-		start := p.Now()
-		if _, err := syncCall(p, a, b, "echo", Bytes(256)); err != nil {
-			t.Errorf("call on healed link failed: %v", err)
-		}
-		if got := p.Now().Sub(start); got != healthy {
-			t.Errorf("healed-link RTT %v != healthy RTT %v", got, healthy)
-		}
-	})
+	p = env.ContextTask("client")
+	start = p.Now()
+	if _, err := syncCall(p, a, b, "echo", Bytes(256)); err != nil {
+		t.Errorf("call on healed link failed: %v", err)
+	}
+	if got := p.Now().Sub(start); got != healthy {
+		t.Errorf("healed-link RTT %v != healthy RTT %v", got, healthy)
+	}
 	env.Run()
 }
 
@@ -86,8 +82,8 @@ func TestDegradeLinkScalesLegs(t *testing.T) {
 	env, a, b := newPair(t, IPoIB)
 
 	var healthy, degraded, healed sim.Duration
-	timed := func(out *sim.Duration) func(p *sim.Proc) {
-		return func(p *sim.Proc) {
+	timed := func(out *sim.Duration) func(p *sim.Task) {
+		return func(p *sim.Task) {
 			start := p.Now()
 			if _, err := syncCall(p, a, b, "echo", Bytes(4096)); err != nil {
 				t.Errorf("call failed: %v", err)
@@ -95,15 +91,15 @@ func TestDegradeLinkScalesLegs(t *testing.T) {
 			*out = p.Now().Sub(start)
 		}
 	}
-	env.Process("healthy", timed(&healthy))
+	timed(&healthy)(env.ContextTask("healthy"))
 	env.Run()
 
 	a.net.DegradeLink("a", "b", 4, 0.25)
-	env.Process("degraded", timed(&degraded))
+	timed(&degraded)(env.ContextTask("degraded"))
 	env.Run()
 
 	a.net.HealLink("a", "b")
-	env.Process("healed", timed(&healed))
+	timed(&healed)(env.ContextTask("healed"))
 	env.Run()
 
 	// 4x latency and 1/4 bandwidth stretch every wire leg; the RTT must
@@ -136,15 +132,14 @@ func TestCutLinkAbortsInFlight(t *testing.T) {
 	net.enableFaults()
 	env.Defer(cutAt, func() { net.CutLink("a", "b") })
 
-	env.Process("client", func(p *sim.Proc) {
-		_, err := syncCall(p, a, b, "slow", Bytes(0))
-		if !errors.Is(err, ErrUnreachable) {
-			t.Errorf("err = %v, want ErrUnreachable", err)
-		}
-		if got := p.Now(); got != sim.Time(0).Add(cutAt) {
-			t.Errorf("caller resumed at %v, want the cut instant %v", got, cutAt)
-		}
-	})
+	p := env.ContextTask("client")
+	_, err := syncCall(p, a, b, "slow", Bytes(0))
+	if !errors.Is(err, ErrUnreachable) {
+		t.Errorf("err = %v, want ErrUnreachable", err)
+	}
+	if got := p.Now(); got != sim.Time(0).Add(cutAt) {
+		t.Errorf("caller resumed at %v, want the cut instant %v", got, cutAt)
+	}
 	env.Run()
 	if !handled {
 		t.Error("handler did not run to completion behind the cut")
@@ -173,18 +168,17 @@ func TestCutRacesDeadlineTie(t *testing.T) {
 	env.Defer(tieAt, func() { net.CutLink("a", "b") })
 
 	col := optrace.NewCollector()
-	env.Process("client", func(p *sim.Proc) {
-		op := col.Begin(p, "rpc")
-		op.SetDeadline(sim.Time(0).Add(tieAt))
-		_, err := syncCall(p, a, b, "slow", Bytes(0))
-		if !errors.Is(err, ErrDeadline) {
-			t.Errorf("err = %v, want ErrDeadline (deadline wins the tie)", err)
-		}
-		if got := p.Now(); got != sim.Time(0).Add(tieAt) {
-			t.Errorf("caller resumed at %v, want %v", got, tieAt)
-		}
-		col.End(p)
-	})
+	p := env.ContextTask("client")
+	op := col.Begin(p, "rpc")
+	op.SetDeadline(sim.Time(0).Add(tieAt))
+	_, err := syncCall(p, a, b, "slow", Bytes(0))
+	if !errors.Is(err, ErrDeadline) {
+		t.Errorf("err = %v, want ErrDeadline (deadline wins the tie)", err)
+	}
+	if got := p.Now(); got != sim.Time(0).Add(tieAt) {
+		t.Errorf("caller resumed at %v, want %v", got, tieAt)
+	}
+	col.End(p)
 	env.Run()
 }
 
@@ -194,18 +188,17 @@ func TestCutConnectDeadlineTie(t *testing.T) {
 	env, a, b := newPair(t, IPoIB)
 	a.net.CutLink("a", "b")
 	col := optrace.NewCollector()
-	env.Process("client", func(p *sim.Proc) {
-		op := col.Begin(p, "rpc")
-		op.SetDeadline(p.Now().Add(DefaultConnectTimeout))
-		_, err := syncCall(p, a, b, "echo", Bytes(0))
-		if !errors.Is(err, ErrDeadline) {
-			t.Errorf("err = %v, want ErrDeadline (deadline wins the tie)", err)
-		}
-		if got := p.Now(); got != sim.Time(0).Add(DefaultConnectTimeout) {
-			t.Errorf("caller resumed at %v, want the deadline instant", got)
-		}
-		col.End(p)
-	})
+	p := env.ContextTask("client")
+	op := col.Begin(p, "rpc")
+	op.SetDeadline(p.Now().Add(DefaultConnectTimeout))
+	_, err := syncCall(p, a, b, "echo", Bytes(0))
+	if !errors.Is(err, ErrDeadline) {
+		t.Errorf("err = %v, want ErrDeadline (deadline wins the tie)", err)
+	}
+	if got := p.Now(); got != sim.Time(0).Add(DefaultConnectTimeout) {
+		t.Errorf("caller resumed at %v, want the deadline instant", got)
+	}
+	col.End(p)
 	env.Run()
 	if a.UnreachableCalls != 0 {
 		t.Errorf("UnreachableCalls = %d, want 0 — the deadline won", a.UnreachableCalls)
@@ -218,14 +211,13 @@ func TestSetConnectTimeout(t *testing.T) {
 	const timeout = 3 * time.Millisecond
 	a.net.SetConnectTimeout(timeout)
 	a.net.CutLink("a", "b")
-	env.Process("client", func(p *sim.Proc) {
-		start := p.Now()
-		if _, err := syncCall(p, a, b, "echo", Bytes(0)); !errors.Is(err, ErrUnreachable) {
-			t.Errorf("err = %v, want ErrUnreachable", err)
-		}
-		if got := p.Now().Sub(start); got != timeout {
-			t.Errorf("refusal took %v, want %v", got, timeout)
-		}
-	})
+	p := env.ContextTask("client")
+	start := p.Now()
+	if _, err := syncCall(p, a, b, "echo", Bytes(0)); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("err = %v, want ErrUnreachable", err)
+	}
+	if got := p.Now().Sub(start); got != timeout {
+		t.Errorf("refusal took %v, want %v", got, timeout)
+	}
 	env.Run()
 }

@@ -144,19 +144,17 @@ func TestInjectorCrashAndRecover(t *testing.T) {
 func TestCrashRecoverSameInstant(t *testing.T) {
 	c := cluster.New(cluster.Options{Clients: 1, MCDs: 1, MCDMemBytes: 8 << 20, BlockSize: 1024})
 	fs := c.Mounts[0].FS
-	c.Env.Process("warm", func(p *sim.Proc) {
-		fd, err := blocking(fs).Create(p, "/r/f")
-		if err != nil {
-			t.Errorf("create: %v", err)
-			return
-		}
-		if _, err := blocking(fs).Write(p, fd, 0, blob.Synthetic(9, 0, 8192)); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		if _, err := blocking(fs).Read(p, fd, 0, 8192); err != nil {
-			t.Errorf("read: %v", err)
-		}
-	})
+	p := c.Env.ContextTask("warm")
+	fd, err := blocking(fs).Create(p, "/r/f")
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	if _, err := blocking(fs).Write(p, fd, 0, blob.Synthetic(9, 0, 8192)); err != nil {
+		t.Errorf("write: %v", err)
+	}
+	if _, err := blocking(fs).Read(p, fd, 0, 8192); err != nil {
+		t.Errorf("read: %v", err)
+	}
 	c.Env.Run()
 	if len(c.MCDs[0].Store().Keys()) == 0 {
 		t.Fatal("warm pass cached nothing; the test needs a populated store")
@@ -198,20 +196,18 @@ func TestInjectorBrickOutage(t *testing.T) {
 	fs := c.Mounts[0].FS
 	var duringErr, afterErr error
 	var afterData blob.Blob
-	c.Env.Process("t", func(p *sim.Proc) {
-		fd, err := blocking(fs).Create(p, "/o/f")
-		if err != nil {
-			t.Errorf("create: %v", err)
-			return
-		}
-		if _, werr := blocking(fs).Write(p, fd, 0, blob.Synthetic(7, 0, 4096)); werr != nil {
-			t.Errorf("write: %v", werr)
-		}
-		p.Sleep(sim.Time(0).Add(35 * time.Millisecond).Sub(p.Now()))
-		_, duringErr = blocking(fs).Read(p, fd, 0, 4096)
-		p.Sleep(sim.Time(0).Add(55 * time.Millisecond).Sub(p.Now()))
-		afterData, afterErr = blocking(fs).Read(p, fd, 0, 4096)
-	})
+	p := c.Env.ContextTask("t")
+	fd, err := blocking(fs).Create(p, "/o/f")
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	if _, werr := blocking(fs).Write(p, fd, 0, blob.Synthetic(7, 0, 4096)); werr != nil {
+		t.Errorf("write: %v", werr)
+	}
+	sleep(p, sim.Time(0).Add(35*time.Millisecond).Sub(p.Now()))
+	_, duringErr = blocking(fs).Read(p, fd, 0, 4096)
+	sleep(p, sim.Time(0).Add(55*time.Millisecond).Sub(p.Now()))
+	afterData, afterErr = blocking(fs).Read(p, fd, 0, 4096)
 	c.Env.Run()
 	if duringErr != gluster.ErrServerDown {
 		t.Errorf("read during outage: %v, want ErrServerDown", duringErr)
@@ -275,22 +271,21 @@ func TestInjectorRegister(t *testing.T) {
 func TestOracleTracksHappyPath(t *testing.T) {
 	c := cluster.New(cluster.Options{Clients: 1, MCDs: 1, MCDMemBytes: 8 << 20, BlockSize: 1024})
 	o := NewOracle(c.Mounts[0].FS)
-	c.Env.Process("t", func(p *sim.Proc) {
-		fd, err := blocking(o).Create(p, "/h/f")
-		if err != nil {
-			t.Fatalf("create: %v", err)
-		}
-		blocking(o).Write(p, fd, 0, blob.Synthetic(3, 0, 3000))
-		blocking(o).Write(p, fd, 1500, blob.Synthetic(4, 0, 100)) // overlap
-		blocking(o).Write(p, fd, 5000, blob.Synthetic(5, 0, 10))  // hole
-		blocking(o).Read(p, fd, 0, 8192)                          // short read at EOF
-		blocking(o).Truncate(p, "/h/f", 2000)
-		blocking(o).Stat(p, "/h/f")
-		blocking(o).Truncate(p, "/h/f", 4000) // zero-extend
-		blocking(o).Read(p, fd, 1000, 3000)
-		blocking(o).Close(p, fd)
-		verifyAll(p, o)
-	})
+	p := c.Env.ContextTask("t")
+	fd, err := blocking(o).Create(p, "/h/f")
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	blocking(o).Write(p, fd, 0, blob.Synthetic(3, 0, 3000))
+	blocking(o).Write(p, fd, 1500, blob.Synthetic(4, 0, 100)) // overlap
+	blocking(o).Write(p, fd, 5000, blob.Synthetic(5, 0, 10))  // hole
+	blocking(o).Read(p, fd, 0, 8192)                          // short read at EOF
+	blocking(o).Truncate(p, "/h/f", 2000)
+	blocking(o).Stat(p, "/h/f")
+	blocking(o).Truncate(p, "/h/f", 4000) // zero-extend
+	blocking(o).Read(p, fd, 1000, 3000)
+	blocking(o).Close(p, fd)
+	verifyAll(p, o)
 	c.Env.Run()
 	if v := o.Violations(); len(v) != 0 {
 		t.Fatalf("violations on a healthy stack:\n%s", strings.Join(v, "\n"))
@@ -306,21 +301,20 @@ func TestOracleTracksHappyPath(t *testing.T) {
 func TestOracleOrphanedDescriptorWrite(t *testing.T) {
 	c := cluster.New(cluster.Options{Clients: 1, MCDs: 1, MCDMemBytes: 8 << 20, BlockSize: 1024})
 	o := NewOracle(c.Mounts[0].FS)
-	c.Env.Process("t", func(p *sim.Proc) {
-		fd, err := blocking(o).Create(p, "/u/f")
-		if err != nil {
-			t.Fatalf("create: %v", err)
-		}
-		blocking(o).Write(p, fd, 0, blob.Synthetic(1, 0, 512))
-		if err := blocking(o).Unlink(p, "/u/f"); err != nil {
-			t.Fatalf("unlink: %v", err)
-		}
-		if _, err := blocking(o).Write(p, fd, 512, blob.Synthetic(2, 0, 512)); err != nil {
-			t.Errorf("write through orphaned descriptor: %v", err)
-		}
-		blocking(o).Close(p, fd)
-		verifyAll(p, o)
-	})
+	p := c.Env.ContextTask("t")
+	fd, err := blocking(o).Create(p, "/u/f")
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	blocking(o).Write(p, fd, 0, blob.Synthetic(1, 0, 512))
+	if err := blocking(o).Unlink(p, "/u/f"); err != nil {
+		t.Fatalf("unlink: %v", err)
+	}
+	if _, err := blocking(o).Write(p, fd, 512, blob.Synthetic(2, 0, 512)); err != nil {
+		t.Errorf("write through orphaned descriptor: %v", err)
+	}
+	blocking(o).Close(p, fd)
+	verifyAll(p, o)
 	c.Env.Run()
 	if v := o.Violations(); len(v) != 0 {
 		t.Fatalf("orphaned-descriptor write produced violations:\n%s", strings.Join(v, "\n"))
@@ -337,18 +331,17 @@ func TestOracleOrphanedDescriptorWrite(t *testing.T) {
 func TestOracleCatchesStaleRead(t *testing.T) {
 	c := cluster.New(cluster.Options{Clients: 1, MCDs: 1, MCDMemBytes: 8 << 20, BlockSize: 1024})
 	o := NewOracle(c.Mounts[0].FS)
-	c.Env.Process("t", func(p *sim.Proc) {
-		fd, err := blocking(o).Create(p, "/s/f")
-		if err != nil {
-			t.Fatalf("create: %v", err)
-		}
-		blocking(o).Write(p, fd, 0, blob.Synthetic(11, 0, 1024)) // block cached in mcd0
-		blocking(o).Read(p, fd, 0, 1024)                         // ensure it is in the bank
-		c.Net.CutLink("gfs-server", "mcd0")                      // server loses the bank...
-		blocking(o).Write(p, fd, 0, blob.Synthetic(12, 0, 1024)) // ...so this push/purge fails
-		blocking(o).Read(p, fd, 0, 1024)                         // client still hits the stale block
-		blocking(o).Close(p, fd)
-	})
+	p := c.Env.ContextTask("t")
+	fd, err := blocking(o).Create(p, "/s/f")
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	blocking(o).Write(p, fd, 0, blob.Synthetic(11, 0, 1024)) // block cached in mcd0
+	blocking(o).Read(p, fd, 0, 1024)                         // ensure it is in the bank
+	c.Net.CutLink("gfs-server", "mcd0")                      // server loses the bank...
+	blocking(o).Write(p, fd, 0, blob.Synthetic(12, 0, 1024)) // ...so this push/purge fails
+	blocking(o).Read(p, fd, 0, 1024)                         // client still hits the stale block
+	blocking(o).Close(p, fd)
 	c.Env.Run()
 	found := false
 	for _, v := range o.Violations() {

@@ -167,7 +167,7 @@ func genPlan(r *xrand.Rand, name string, nMCDs int, span sim.Duration) *Plan {
 // fuzzWorkload drives a mixed create/write/read/stat/truncate/unlink
 // stream through the oracle on one client, sleeping between operations so
 // the plan's faults land at varied points inside operations.
-func fuzzWorkload(t *testing.T, p *sim.Proc, o *Oracle, r *xrand.Rand, ops int) {
+func fuzzWorkload(t *testing.T, p *sim.Task, o *Oracle, r *xrand.Rand, ops int) {
 	t.Helper()
 	paths := []string{"/fz/a", "/fz/b", "/fz/c", "/fz/d", "/fz/e", "/fz/f"}
 	fds := map[string]gluster.FD{}
@@ -231,7 +231,7 @@ func fuzzWorkload(t *testing.T, p *sim.Proc, o *Oracle, r *xrand.Rand, ops int) 
 				live[path] = false
 			}
 		}
-		p.Sleep(sim.Duration(r.Int63n(int64(200 * time.Microsecond))))
+		sleep(p, sim.Duration(r.Int63n(int64(200*time.Microsecond))))
 	}
 	for _, path := range paths {
 		if fd, ok := fds[path]; ok {
@@ -274,16 +274,14 @@ func TestFuzzPlansUpholdSection44(t *testing.T) {
 		}
 		o := NewOracle(c.Mounts[0].FS)
 		o.SetFlight(fr)
-		c.Env.Process("workload", func(p *sim.Proc) {
-			fuzzWorkload(t, p, o, r, 120)
-		})
+		fuzzWorkload(t, c.Env.ContextTask("workload"), o, r, 120)
 		c.Env.Run() // workload + every fault timer, including the closing heals
 		if got, want := in.Fired(), in.Armed(); got != want {
 			writeFuzzArtifacts(t, seed, pl, fr)
 			t.Fatalf("seed %#x: fired %d of %d armed events\n%s\nflight recorder:\n%s",
 				seed, got, want, pl, flightDump(fr))
 		}
-		c.Env.Process("audit", func(p *sim.Proc) { verifyAll(p, o) })
+		verifyAll(c.Env.ContextTask("audit"), o)
 		c.Env.Run()
 		if v := o.Violations(); len(v) != 0 {
 			writeFuzzArtifacts(t, seed, pl, fr)

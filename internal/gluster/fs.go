@@ -13,8 +13,8 @@
 // Every operation runs on a sim.Task and delivers its result to a
 // continuation: an xlator advances virtual time through the kernel's task
 // primitives and calls its child with a continuation of its own. Sequential
-// scripts (shells, examples, tests) drive a stack through Sync, which blocks
-// a sim.Proc on each call via sim.Await.
+// scripts (shells, examples, tests) drive a stack from the host through
+// Sync, which runs each call on the script's task via sim.Await.
 package gluster
 
 import (

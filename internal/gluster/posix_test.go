@@ -19,17 +19,18 @@ func newPosix(env *sim.Env, cacheBytes int64) *Posix {
 // blocking is the Sync facade over fs, for sequential test scripts.
 func blocking(fs FS) Sync { return Sync{FS: fs} }
 
-// inProc runs fn inside a simulated process and completes the simulation.
-func inProc(t *testing.T, env *sim.Env, fn func(p *sim.Proc)) {
+// runScript runs fn as a host-side test script and completes the
+// simulation.
+func runScript(t *testing.T, env *sim.Env, fn func(p *sim.Task)) {
 	t.Helper()
-	env.Process("test", fn)
+	fn(env.ContextTask("test"))
 	env.Run()
 }
 
 func TestPosixCreateWriteReadBack(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
-	inProc(t, env, func(p *sim.Proc) {
+	runScript(t, env, func(p *sim.Task) {
 		fd, err := blocking(px).Create(p, "/dir/file")
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +56,7 @@ func TestPosixCreateWriteReadBack(t *testing.T) {
 func TestPosixOpenNonexistent(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
-	inProc(t, env, func(p *sim.Proc) {
+	runScript(t, env, func(p *sim.Task) {
 		if _, err := blocking(px).Open(p, "/missing"); err != ErrNotExist {
 			t.Errorf("err = %v, want ErrNotExist", err)
 		}
@@ -65,7 +66,7 @@ func TestPosixOpenNonexistent(t *testing.T) {
 func TestPosixCreateExisting(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
-	inProc(t, env, func(p *sim.Proc) {
+	runScript(t, env, func(p *sim.Task) {
 		blocking(px).Create(p, "/f")
 		if _, err := blocking(px).Create(p, "/f"); err != ErrExist {
 			t.Errorf("err = %v, want ErrExist", err)
@@ -76,7 +77,7 @@ func TestPosixCreateExisting(t *testing.T) {
 func TestPosixReadPastEOFShortens(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
-	inProc(t, env, func(p *sim.Proc) {
+	runScript(t, env, func(p *sim.Task) {
 		fd, _ := blocking(px).Create(p, "/f")
 		blocking(px).Write(p, fd, 0, blob.FromString("12345"))
 		got, err := blocking(px).Read(p, fd, 3, 100)
@@ -96,7 +97,7 @@ func TestPosixReadPastEOFShortens(t *testing.T) {
 func TestPosixHolesReadAsZeros(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
-	inProc(t, env, func(p *sim.Proc) {
+	runScript(t, env, func(p *sim.Task) {
 		fd, _ := blocking(px).Create(p, "/sparse")
 		blocking(px).Write(p, fd, 100, blob.FromString("x"))
 		got, _ := blocking(px).Read(p, fd, 0, 101)
@@ -115,13 +116,13 @@ func TestPosixHolesReadAsZeros(t *testing.T) {
 func TestPosixStatReflectsWrites(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
-	inProc(t, env, func(p *sim.Proc) {
+	runScript(t, env, func(p *sim.Task) {
 		fd, _ := blocking(px).Create(p, "/f")
 		st0, err := blocking(px).Stat(p, "/f")
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Sleep(time.Second)
+		sim.Await(p, func(tk *sim.Task, done func()) { tk.Sleep(time.Second, done) })
 		blocking(px).Write(p, fd, 0, blob.Synthetic(1, 0, 12345))
 		st1, _ := blocking(px).Stat(p, "/f")
 		if st1.Size != 12345 {
@@ -140,7 +141,7 @@ func TestPosixColdReadHitsDiskWarmDoesNot(t *testing.T) {
 	env := sim.NewEnv()
 	dev := disk.New(env, disk.Params{SeekTime: 5 * time.Millisecond, TransferRate: 100e6})
 	px := NewPosix(env, PosixConfig{Dev: dev, CacheBytes: 64 << 20})
-	inProc(t, env, func(p *sim.Proc) {
+	runScript(t, env, func(p *sim.Task) {
 		fd, _ := blocking(px).Create(p, "/f")
 		blocking(px).Write(p, fd, 0, blob.Synthetic(1, 0, 1<<20))
 		px.Cache().Clear() // cold cache
@@ -167,7 +168,7 @@ func TestPosixCacheEvictionForcesDisk(t *testing.T) {
 	dev := disk.New(env, disk.Params{SeekTime: time.Millisecond, TransferRate: 100e6})
 	// Cache holds only 1MB; the file is 4MB.
 	px := NewPosix(env, PosixConfig{Dev: dev, CacheBytes: 1 << 20})
-	inProc(t, env, func(p *sim.Proc) {
+	runScript(t, env, func(p *sim.Task) {
 		fd, _ := blocking(px).Create(p, "/big")
 		blocking(px).Write(p, fd, 0, blob.Synthetic(1, 0, 4<<20))
 		reads0 := px.DiskReads
@@ -181,7 +182,7 @@ func TestPosixCacheEvictionForcesDisk(t *testing.T) {
 func TestPosixUnlink(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
-	inProc(t, env, func(p *sim.Proc) {
+	runScript(t, env, func(p *sim.Task) {
 		fd, _ := blocking(px).Create(p, "/dir/f")
 		blocking(px).Write(p, fd, 0, blob.FromString("data"))
 		blocking(px).Close(p, fd)
@@ -204,7 +205,7 @@ func TestPosixUnlink(t *testing.T) {
 func TestPosixMkdirReaddir(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
-	inProc(t, env, func(p *sim.Proc) {
+	runScript(t, env, func(p *sim.Task) {
 		blocking(px).Mkdir(p, "/a/b")
 		blocking(px).Create(p, "/a/b/one")
 		blocking(px).Create(p, "/a/b/two")
@@ -228,7 +229,7 @@ func TestPosixMkdirReaddir(t *testing.T) {
 func TestPosixTruncate(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
-	inProc(t, env, func(p *sim.Proc) {
+	runScript(t, env, func(p *sim.Task) {
 		fd, _ := blocking(px).Create(p, "/f")
 		blocking(px).Write(p, fd, 0, blob.FromString("0123456789"))
 		blocking(px).Truncate(p, "/f", 4)
@@ -246,7 +247,7 @@ func TestPosixTruncate(t *testing.T) {
 func TestPosixOverlappingWrites(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
-	inProc(t, env, func(p *sim.Proc) {
+	runScript(t, env, func(p *sim.Task) {
 		fd, _ := blocking(px).Create(p, "/f")
 		blocking(px).Write(p, fd, 0, blob.FromString("aaaaaaaaaa"))
 		blocking(px).Write(p, fd, 3, blob.FromString("bbb"))
@@ -265,7 +266,7 @@ func TestPosixOverlappingWrites(t *testing.T) {
 func TestPosixSequentialWritesCoalesceExtents(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
-	inProc(t, env, func(p *sim.Proc) {
+	runScript(t, env, func(p *sim.Task) {
 		fd, _ := blocking(px).Create(p, "/seq")
 		for i := int64(0); i < 64; i++ {
 			blocking(px).Write(p, fd, i*2048, blob.Synthetic(7, i*2048, 2048))
@@ -280,7 +281,7 @@ func TestPosixSequentialWritesCoalesceExtents(t *testing.T) {
 func TestPosixBadFD(t *testing.T) {
 	env := sim.NewEnv()
 	px := newPosix(env, 64<<20)
-	inProc(t, env, func(p *sim.Proc) {
+	runScript(t, env, func(p *sim.Task) {
 		if _, err := blocking(px).Read(p, 999, 0, 10); err != ErrBadFD {
 			t.Errorf("read err = %v", err)
 		}

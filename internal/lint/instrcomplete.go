@@ -122,7 +122,7 @@ func instrRegisterSurface(pkg *pkgInfo, cfg *Config) []Finding {
 			if fd.Name.Name == "Register" && firstParamIsRegistry(fn, cfg.TelemetryPath) {
 				s.hasRegister = true
 			}
-			if ast.IsExported(fd.Name.Name) && firstParamActor(fn, cfg.SimPath) != "" {
+			if ast.IsExported(fd.Name.Name) && firstParamIsTask(fn, cfg.SimPath) {
 				s.actorMethods = append(s.actorMethods, fd)
 			}
 		}
@@ -284,17 +284,9 @@ func instrKindStringTotal(pkg *pkgInfo) []Finding {
 	return out
 }
 
-// firstParamActor names the sim actor a function's first parameter is
-// ("Proc", "Task"), or "" for anything else.
-func firstParamActor(fn *types.Func, simPath string) string {
+// firstParamIsTask reports whether a function's first parameter is a
+// *sim.Task.
+func firstParamIsTask(fn *types.Func, simPath string) bool {
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Params() == nil || sig.Params().Len() == 0 {
-		return ""
-	}
-	t := sig.Params().At(0).Type()
-	if !isSimActor(t, simPath) {
-		return ""
-	}
-	named := t.(*types.Pointer).Elem().(*types.Named)
-	return named.Obj().Name()
+	return ok && sig.Params().Len() > 0 && isSimActor(sig.Params().At(0).Type(), simPath)
 }

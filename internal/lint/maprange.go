@@ -9,7 +9,7 @@ import (
 // checkMapRange flags `for range` statements over maps whose iteration
 // order leaks into something order-sensitive: formatted output, a slice
 // the function returns, instrument registration, or simulated activity
-// (any call that takes a *sim.Proc or schedules on the kernel). Go
+// (any call that takes a *sim.Task or schedules on the kernel). Go
 // randomizes map iteration order per run, so each of those turns into
 // run-to-run nondeterminism. The fix is always the same: collect the keys,
 // sort them, iterate the slice — and a loop that only collects keys into a
@@ -63,8 +63,8 @@ func (v *mrVisitor) checkRange(rng *ast.RangeStmt) {
 		case *ast.CallExpr:
 			if name, ok := simSchedCallee(info, n, v.cfg.SimPath); ok {
 				sinkMsg = "schedules simulated activity (" + name + ") in map iteration order"
-			} else if passesSimProc(info, n, v.cfg.SimPath) {
-				sinkMsg = "drives simulated activity (a *sim.Proc or *sim.Task call) in map iteration order"
+			} else if passesSimTask(info, n, v.cfg.SimPath) {
+				sinkMsg = "drives simulated activity (a *sim.Task call) in map iteration order"
 			} else if name, ok := outputCallee(info, n); ok {
 				sinkMsg = "writes output (" + name + ") in map iteration order"
 			} else if name, ok := registerCallee(info, n); ok {

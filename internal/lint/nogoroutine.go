@@ -7,15 +7,13 @@ import (
 )
 
 // checkNoGoroutine enforces single-threadedness everywhere except the
-// host-side allowlist: the kernel runs exactly one process goroutine at a
-// time, so go statements, native channels, and sync primitives in
-// simulated code either deadlock, race, or — worst — silently reorder
-// events between runs. Concurrency in simulated code is expressed with
-// sim tasks (Env.StartTask) coordinating through sim.Event and
-// sim.Resource. The kernel's own goroutine
-// handshake carries explicit suppressions; packages that are genuinely
-// host-side (worker pools, real daemons) are exempted as whole packages
-// via Config.HostSide.
+// host-side allowlist: the kernel dispatches one continuation at a time
+// on the caller's goroutine, so go statements, native channels, and sync
+// primitives in simulated code either deadlock, race, or — worst —
+// silently reorder events between runs. Concurrency in simulated code is
+// expressed with sim tasks (Env.StartTask) coordinating through sim.Event
+// and sim.Resource. Packages that are genuinely host-side (worker pools,
+// real daemons) are exempted as whole packages via Config.HostSide.
 func checkNoGoroutine(pkg *pkgInfo, cfg *Config) []Finding {
 	if cfg.hostSide(pkg.path) {
 		return nil

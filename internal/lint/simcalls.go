@@ -6,7 +6,7 @@ import (
 )
 
 // simSchedMethods names the sim-kernel entry points that schedule events,
-// park processes, or otherwise advance the virtual clock, keyed as
+// dispatch them, or otherwise advance the virtual clock, keyed as
 // "Receiver.Method" (or a bare name for package functions). The unexported
 // primitives are included so reachability analysis inside the kernel
 // itself cannot slip past the exported surface.
@@ -17,10 +17,9 @@ import (
 // injector's whole mechanism), so a Defer callback is ordinary sim-side
 // code and is never treated as an observer.
 var simSchedMethods = map[string]bool{
-	"Env.Process": true, "Env.Run": true, "Env.RunUntil": true, "Env.Defer": true,
-	"Env.StartTask": true,
-	"Env.schedule":  true, "Env.scheduleProc": true, "Env.wake": true,
-	"Proc.Sleep": true, "Proc.park": true,
+	"Env.Run": true, "Env.RunUntil": true, "Env.Defer": true,
+	"Env.StartTask": true, "Env.schedule": true, "Env.dispatch": true,
+	"Await":      true,
 	"Task.Sleep": true, "Task.End": true,
 	"Event.Wait": true, "Event.Trigger": true,
 	"Resource.Acquire": true, "Resource.Release": true, "Resource.Use": true,
@@ -74,8 +73,8 @@ func simSchedCallee(info *types.Info, call *ast.CallExpr, simPath string) (strin
 	return "", false
 }
 
-// isSimActor reports whether t is *sim.Proc or *sim.Task — the two client
-// engines' execution contexts.
+// isSimActor reports whether t is *sim.Task, the kernel's one execution
+// context.
 func isSimActor(t types.Type, simPath string) bool {
 	if simPath == "" || t == nil {
 		return false
@@ -89,15 +88,15 @@ func isSimActor(t types.Type, simPath string) bool {
 		return false
 	}
 	obj := named.Obj()
-	return (obj.Name() == "Proc" || obj.Name() == "Task") &&
+	return obj.Name() == "Task" &&
 		obj.Pkg() != nil && obj.Pkg().Path() == simPath
 }
 
-// passesSimProc reports whether any argument of call is a *sim.Proc or
-// *sim.Task: in this codebase, a function taking one can block or schedule
-// continuations and so advance virtual time, which makes its invocation
-// order part of the simulation's behaviour.
-func passesSimProc(info *types.Info, call *ast.CallExpr, simPath string) bool {
+// passesSimTask reports whether any argument of call is a *sim.Task: in
+// this codebase, a function taking one can schedule continuations and so
+// advance virtual time, which makes its invocation order part of the
+// simulation's behaviour.
+func passesSimTask(info *types.Info, call *ast.CallExpr, simPath string) bool {
 	for _, arg := range call.Args {
 		if tv, ok := info.Types[arg]; ok && isSimActor(tv.Type, simPath) {
 			return true

@@ -28,25 +28,25 @@ func WireAllowed(reg *telemetry.Registry, n func() uint64) {
 type Silent struct{}
 
 // Read is a hot-path operation.
-func (s *Silent) Read(p *sim.Proc) {}
+func (s *Silent) Read(t *sim.Task) {}
 
 // Write is a hot-path operation.
-func (s *Silent) Write(p *sim.Proc) {}
+func (s *Silent) Write(t *sim.Task) {}
 
 // Stat is a hot-path operation.
-func (s *Silent) Stat(p *sim.Proc) {}
+func (s *Silent) Stat(t *sim.Task) {}
 
 // Wired has the same surface plus Register, so it passes.
 type Wired struct{}
 
 // Read is a hot-path operation.
-func (w *Wired) Read(p *sim.Proc) {}
+func (w *Wired) Read(t *sim.Task) {}
 
 // Write is a hot-path operation.
-func (w *Wired) Write(p *sim.Proc) {}
+func (w *Wired) Write(t *sim.Task) {}
 
 // Stat is a hot-path operation.
-func (w *Wired) Stat(p *sim.Proc) {}
+func (w *Wired) Stat(t *sim.Task) {}
 
 // Register exposes Wired's instruments.
 func (w *Wired) Register(reg *telemetry.Registry, prefix string) {}

@@ -8,10 +8,10 @@ import (
 	"imca/internal/telemetry"
 )
 
-// Install hooks a literal observer that schedules a process.
+// Install hooks a literal observer that starts a task.
 func Install(env *sim.Env) {
 	env.SetTick(1000, func(at sim.Time) {
-		env.Process("sample", func(p *sim.Proc) {})
+		env.StartTask("sample", func(t *sim.Task) {})
 	})
 	env.SetTick(1000, observe)
 }
@@ -41,9 +41,9 @@ func InstallArmed(env *sim.Env) {
 	})
 }
 
-// InstallTask hooks an observer that starts a continuation task. The task
-// engine's entry points schedule heap events exactly like process ones, so
-// a tick observer may not touch them either.
+// InstallTask hooks an observer that starts a task and ends it. Both entry
+// points touch the kernel's lifecycle state, so a tick observer may not
+// call either.
 func InstallTask(env *sim.Env) {
 	env.SetTick(1000, func(at sim.Time) {
 		env.StartTask("sample", func(t *sim.Task) {
@@ -54,13 +54,13 @@ func InstallTask(env *sim.Env) {
 
 // ArmFault mimics the fault injector: Defer called from host context
 // between runs is fine, and the callback it arms runs in scheduler
-// context, where triggering events and spawning processes is legal.
+// context, where triggering events and starting tasks is legal.
 // Nothing here is reachable from a tick observer, so nothing is flagged.
 func ArmFault(env *sim.Env) {
 	ev := sim.NewEvent(env)
 	env.Defer(5, func() {
 		ev.Trigger(nil)
-		env.Process("recover", func(p *sim.Proc) {})
+		env.StartTask("recover", func(t *sim.Task) {})
 	})
 }
 
@@ -76,7 +76,7 @@ func InstallInstrumented(env *sim.Env, h *telemetry.Hist, rec *flight.Recorder) 
 }
 
 // InstallMixed hooks an observer whose helper observes and then schedules:
-// the observe is legal, but the Process call two hops down the chain is
+// the observe is legal, but the StartTask call two hops down the chain is
 // flagged like a direct one.
 func InstallMixed(env *sim.Env, h *telemetry.Hist) {
 	env.SetTick(1000, func(at sim.Time) {
@@ -86,5 +86,5 @@ func InstallMixed(env *sim.Env, h *telemetry.Hist) {
 
 func observeAndSchedule(env *sim.Env, h *telemetry.Hist) {
 	h.Observe(0)
-	env.Process("drain", func(p *sim.Proc) {})
+	env.StartTask("drain", func(t *sim.Task) {})
 }

@@ -15,7 +15,7 @@ var wallclockFuncs = map[string]bool{
 }
 
 // checkWallclock flags calls into the host clock. Simulated code must use
-// the virtual clock (sim.Env.Now, Proc.Sleep); host-side code annotates
+// the virtual clock (sim.Env.Now, Task.Sleep); host-side code annotates
 // its use explicitly.
 func checkWallclock(pkg *pkgInfo) []Finding {
 	var out []Finding
@@ -34,7 +34,7 @@ func checkWallclock(pkg *pkgInfo) []Finding {
 					Pos:   pkg.pos(sel.Pos()),
 					Check: "wallclock",
 					Msg: "call to time." + obj.Name() +
-						" reads the host clock — simulated code must use the virtual clock (sim.Env.Now, Proc.Sleep)",
+						" reads the host clock — simulated code must use the virtual clock (sim.Env.Now, Task.Sleep)",
 				})
 			}
 			return true

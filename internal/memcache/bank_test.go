@@ -12,7 +12,7 @@ type syncBank struct{ c *SimClient }
 
 func bank(c *SimClient) syncBank { return syncBank{c} }
 
-func (b syncBank) Get(p *sim.Proc, key string) (it *Item, ok bool) {
+func (b syncBank) Get(p *sim.Task, key string) (it *Item, ok bool) {
 	sim.Await(p, func(t *sim.Task, done func()) {
 		b.c.Get(t, key, func(got *Item, hit bool) {
 			if hit {
@@ -26,21 +26,21 @@ func (b syncBank) Get(p *sim.Proc, key string) (it *Item, ok bool) {
 	return it, ok
 }
 
-func (b syncBank) Set(p *sim.Proc, key string, value blob.Blob) (err error) {
+func (b syncBank) Set(p *sim.Task, key string, value blob.Blob) (err error) {
 	sim.Await(p, func(t *sim.Task, done func()) {
 		b.c.Set(t, key, value, func(e error) { err = e; done() })
 	})
 	return err
 }
 
-func (b syncBank) Delete(p *sim.Proc, key string) (found bool) {
+func (b syncBank) Delete(p *sim.Task, key string) (found bool) {
 	sim.Await(p, func(t *sim.Task, done func()) {
 		b.c.Delete(t, key, func(f bool) { found = f; done() })
 	})
 	return found
 }
 
-func (b syncBank) GetMulti(p *sim.Proc, keys []string) (items map[string]*Item) {
+func (b syncBank) GetMulti(p *sim.Task, keys []string) (items map[string]*Item) {
 	sim.Await(p, func(t *sim.Task, done func()) {
 		b.c.GetMulti(t, keys, func(got map[string]*Item) {
 			items = make(map[string]*Item, len(got))
@@ -52,4 +52,9 @@ func (b syncBank) GetMulti(p *sim.Proc, keys []string) (items map[string]*Item) 
 		})
 	})
 	return items
+}
+
+// sleep blocks the script p for d of virtual time.
+func sleep(p *sim.Task, d sim.Duration) {
+	sim.Await(p, func(t *sim.Task, done func()) { t.Sleep(d, done) })
 }

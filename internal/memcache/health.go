@@ -113,7 +113,7 @@ func (c *SimClient) Suspected(i int) bool {
 // a healthy server, yes for an ejected one whose probe is due (counted as
 // a probe), no otherwise (counted as a fast-fail; the caller reads it as
 // an instant miss).
-func (c *SimClient) admit(a sim.Actor, i int) bool {
+func (c *SimClient) admit(a *sim.Task, i int) bool {
 	if c.ejectAfter == 0 {
 		return true
 	}
@@ -134,7 +134,7 @@ func (c *SimClient) admit(a sim.Actor, i int) bool {
 // hard-ejection gate first, then latency suspicion. A suspected server
 // fast-fails reads until its probe is due; the probe read's own service
 // time decides whether the suspicion clears (see observeLatency).
-func (c *SimClient) admitRead(a sim.Actor, i int) bool {
+func (c *SimClient) admitRead(a *sim.Task, i int) bool {
 	if !c.admit(a, i) {
 		return false
 	}
@@ -158,7 +158,7 @@ func (c *SimClient) admitRead(a sim.Actor, i int) bool {
 // server i currently reach the wire? Scatter-time replica routing
 // (GetMulti) uses it so routing decisions never consume probe slots or
 // count fast-fails for keys that end up on the other copy.
-func (c *SimClient) readRoutable(a sim.Actor, i int) bool {
+func (c *SimClient) readRoutable(a *sim.Task, i int) bool {
 	if c.ejectAfter > 0 {
 		if h := &c.health[i]; h.ejected && a.Now() < h.probeAt {
 			return false
@@ -175,7 +175,7 @@ func (c *SimClient) readRoutable(a sim.Actor, i int) bool {
 // observeLatency feeds one successful single-key get's service time into
 // server i's suspicion EWMA. Batched gets are excluded: their service
 // time scales with the batch, which would poison a per-op estimator.
-func (c *SimClient) observeLatency(a sim.Actor, i int, elapsed sim.Duration) {
+func (c *SimClient) observeLatency(a *sim.Task, i int, elapsed sim.Duration) {
 	if c.suspectAfter == 0 {
 		return
 	}
@@ -219,7 +219,7 @@ func (c *SimClient) observeLatency(a sim.Actor, i int, elapsed sim.Duration) {
 
 // observe records the outcome of a wire request to server i, ejecting,
 // backing off, or readmitting as the state machine dictates.
-func (c *SimClient) observe(a sim.Actor, i int, ok bool) {
+func (c *SimClient) observe(a *sim.Task, i int, ok bool) {
 	if c.ejectAfter == 0 {
 		return
 	}

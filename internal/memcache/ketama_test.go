@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"imca/internal/blob"
-	"imca/internal/sim"
 )
 
 func sampleKeys(n int) []string {
@@ -69,17 +68,16 @@ func TestKetamaStabilityVsModulo(t *testing.T) {
 func TestKetamaWorksAsBankSelector(t *testing.T) {
 	env, cl := simBank(3, 64)
 	cl.SetSelector(NewKetamaSelector())
-	env.Process("t", func(p *sim.Proc) {
-		for i := 0; i < 60; i++ {
-			key := fmt.Sprintf("kk-%d", i)
-			if err := bank(cl).Set(p, key, blob.FromString("v")); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := bank(cl).Get(p, key); !ok {
-				t.Fatalf("readback of %s failed", key)
-			}
+	p := env.ContextTask("t")
+	for i := 0; i < 60; i++ {
+		key := fmt.Sprintf("kk-%d", i)
+		if err := bank(cl).Set(p, key, blob.FromString("v")); err != nil {
+			t.Fatal(err)
 		}
-	})
+		if _, ok := bank(cl).Get(p, key); !ok {
+			t.Fatalf("readback of %s failed", key)
+		}
+	}
 	env.Run()
 	for i, s := range cl.Servers() {
 		if s.Store().Len() == 0 {

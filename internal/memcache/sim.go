@@ -365,7 +365,7 @@ func (c *SimClient) pick(key string) (int, *SimServer) {
 
 // fail classifies a request error or Down reply into the right counter and
 // feeds the health state machine.
-func (c *SimClient) fail(a sim.Actor, idx int, err error, down bool) string {
+func (c *SimClient) fail(a *sim.Task, idx int, err error, down bool) string {
 	result := "deadline"
 	switch {
 	case down:
@@ -393,7 +393,7 @@ type mcdReply struct {
 // not yet due) and the replica is routable — then the key fails over at
 // scatter time. Unlike admitRead this never counts probes or fast-fails;
 // the per-server admission in the scatter loop does that once per batch.
-func (c *SimClient) routeRead(a sim.Actor, key string) int {
+func (c *SimClient) routeRead(a *sim.Task, key string) int {
 	i, _ := c.pick(key)
 	r := c.replicaNext(key, i)
 	if r >= 0 && !c.readRoutable(a, i) && c.readRoutable(a, r) {

@@ -116,7 +116,7 @@ func (op *getOp) done(m fabric.Msg, err error) {
 // storage and is valid only until k returns; continuation code copies
 // what it keeps, exactly as it would from a network buffer.
 //
-//imcalint:hotpath 10k-tenant open-loop experiment: per-op allocations on this chain are the marginal cost (ROADMAP item 2); known ones are baselined for burn-down
+//imcalint:hotpath 10k-tenant open-loop experiment: per-op allocations on this chain are the marginal cost (ROADMAP item 3, GC pressure); known ones are baselined for burn-down
 func (c *SimClient) Get(t *sim.Task, key string, k func(*Item, bool)) {
 	idx, srv := c.pick(key)
 	next := c.replicaNext(key, idx)
@@ -249,8 +249,9 @@ func (c *SimClient) GetMulti(t *sim.Task, keys []string, k func(map[string]*Item
 		events = append(events, ev)
 		idxs = append(idxs, i)
 	}
-	// Collect replies in spawn order, as GetMulti's Wait loop does. The
-	// recursion depth is bounded by the bank size.
+	// Collect replies in spawn order, so failure accounting and the result
+	// map are filled in a fixed order. The recursion depth is bounded by
+	// the bank size.
 	var collect func(n int)
 	collect = func(n int) {
 		if n == len(events) {
@@ -331,11 +332,10 @@ func (op *delOp) done(m fabric.Msg, err error) {
 	op.k(resp.Found)
 }
 
-// Delete is Delete for the task engine; k receives Delete's found
-// result. Ejection and failure semantics mirror Delete exactly: an
-// ejected or unreachable MCD absorbs the delete without a wire request,
-// per the documented fault-model boundary. With replication on, both
-// copies are deleted in sequence, as Delete does.
+// Delete removes key from the bank; k receives whether any copy was
+// found. An ejected or unreachable MCD absorbs the delete without a wire
+// request, per the documented fault-model boundary. With replication on,
+// both copies are deleted in sequence.
 func (c *SimClient) Delete(t *sim.Task, key string, k func(bool)) {
 	idx, _ := c.pick(key)
 	next := c.replicaNext(key, idx)
@@ -435,9 +435,9 @@ func (op *setOp) done(m fabric.Msg, err error) {
 	}
 }
 
-// Set is Set for the task engine; k receives Set's error result. With
+// Set stores value under key; k receives the error result. With
 // replication on, the replica leg runs after the primary leg and the
-// primary's result is what k sees, as in Set.
+// primary's result is what k sees.
 func (c *SimClient) Set(t *sim.Task, key string, value blob.Blob, k func(error)) {
 	idx, _ := c.pick(key)
 	next := c.replicaNext(key, idx)

@@ -6,6 +6,7 @@ import (
 
 	"imca/internal/blob"
 	"imca/internal/fabric"
+	"imca/internal/gluster"
 	"imca/internal/sim"
 )
 
@@ -23,39 +24,37 @@ func deploy(t *testing.T, tr fabric.Transport, memBytes int64, clients int) (*si
 
 func TestNFSRoundTrip(t *testing.T) {
 	env, _, cls := deploy(t, fabric.IPoIB, 1<<30, 1)
-	env.Process("t", func(p *sim.Proc) {
-		c := cls[0]
-		fd, err := blocking(c).Create(p, "/f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload := blob.Synthetic(1, 0, 128<<10)
-		if _, err := blocking(c).Write(p, fd, 0, payload); err != nil {
-			t.Fatal(err)
-		}
-		got, err := blocking(c).Read(p, fd, 0, 128<<10)
-		if err != nil || !got.Equal(payload) {
-			t.Errorf("read-back mismatch: %v", err)
-		}
-		st, err := blocking(c).Stat(p, "/f")
-		if err != nil || st.Size != 128<<10 {
-			t.Errorf("stat = %+v, %v", st, err)
-		}
-	})
+	p := env.ContextTask("t")
+	c := cls[0]
+	fd, err := blocking(c).Create(p, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := blob.Synthetic(1, 0, 128<<10)
+	if _, err := blocking(c).Write(p, fd, 0, payload); err != nil {
+		t.Fatal(err)
+	}
+	got, err := blocking(c).Read(p, fd, 0, 128<<10)
+	if err != nil || !got.Equal(payload) {
+		t.Errorf("read-back mismatch: %v", err)
+	}
+	st, err := blocking(c).Stat(p, "/f")
+	if err != nil || st.Size != 128<<10 {
+		t.Errorf("stat = %+v, %v", st, err)
+	}
 	env.Run()
 }
 
 func TestNFSErrors(t *testing.T) {
 	env, _, cls := deploy(t, fabric.GigE, 1<<30, 1)
-	env.Process("t", func(p *sim.Proc) {
-		c := cls[0]
-		if _, err := blocking(c).Open(p, "/missing"); err == nil {
-			t.Error("open of missing file succeeded")
-		}
-		if err := blocking(c).Unlink(p, "/missing"); err == nil {
-			t.Error("unlink of missing file succeeded")
-		}
-	})
+	p := env.ContextTask("t")
+	c := cls[0]
+	if _, err := blocking(c).Open(p, "/missing"); err == nil {
+		t.Error("open of missing file succeeded")
+	}
+	if err := blocking(c).Unlink(p, "/missing"); err == nil {
+		t.Error("unlink of missing file succeeded")
+	}
 	env.Run()
 }
 
@@ -66,15 +65,14 @@ func readThroughput(t *testing.T, tr fabric.Transport, memBytes, fileSize int64,
 	env, srv, cls := deploy(t, tr, memBytes, nClients)
 	const record = 1 << 20
 	// Populate files.
-	env.Process("setup", func(p *sim.Proc) {
-		for i, c := range cls {
-			fd, _ := blocking(c).Create(p, fmt.Sprintf("/f%d", i))
-			for off := int64(0); off < fileSize; off += record {
-				blocking(c).Write(p, fd, off, blob.Synthetic(uint64(i+1), off, record))
-			}
-			blocking(c).Close(p, fd)
+	p := env.ContextTask("setup")
+	for i, c := range cls {
+		fd, _ := blocking(c).Create(p, fmt.Sprintf("/f%d", i))
+		for off := int64(0); off < fileSize; off += record {
+			blocking(c).Write(p, fd, off, blob.Synthetic(uint64(i+1), off, record))
 		}
-	})
+		blocking(c).Close(p, fd)
+	}
 	env.Run()
 	_ = srv
 
@@ -82,14 +80,21 @@ func readThroughput(t *testing.T, tr fabric.Transport, memBytes, fileSize int64,
 	var last sim.Time
 	for i, c := range cls {
 		i, c := i, c
-		env.Process("reader", func(p *sim.Proc) {
-			fd, _ := blocking(c).Open(p, fmt.Sprintf("/f%d", i))
-			for off := int64(0); off < fileSize; off += record {
-				blocking(c).Read(p, fd, off, record)
-			}
-			if p.Now() > last {
-				last = p.Now()
-			}
+		env.StartTask("reader", func(tk *sim.Task) {
+			c.Open(tk, fmt.Sprintf("/f%d", i), func(fd gluster.FD, _ error) {
+				var read func(off int64)
+				read = func(off int64) {
+					if off >= fileSize {
+						if tk.Now() > last {
+							last = tk.Now()
+						}
+						tk.End()
+						return
+					}
+					c.Read(tk, fd, off, record, func(blob.Blob, error) { read(off + record) })
+				}
+				read(0)
+			})
 		})
 	}
 	env.Run()

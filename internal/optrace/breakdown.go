@@ -34,7 +34,7 @@ func (c *Collector) Breakdown() *Breakdown { return c.breakdown }
 
 // Begin creates a new operation, attaches it to the actor, and returns it.
 // Pair with End around exactly the operation being measured.
-func (c *Collector) Begin(a sim.Actor, name string) *Op {
+func (c *Collector) Begin(a *sim.Task, name string) *Op {
 	c.nextID++
 	op := &Op{ID: c.nextID, Name: name, Start: a.Now()}
 	Attach(a, op)
@@ -44,7 +44,7 @@ func (c *Collector) Begin(a sim.Actor, name string) *Op {
 // End detaches the actor's operation, stamps its finish time, folds its
 // spans into the breakdown, and returns it (nil if nothing was attached).
 // Spans ended by background helpers after End are not aggregated.
-func (c *Collector) End(a sim.Actor) *Op {
+func (c *Collector) End(a *sim.Task) *Op {
 	op := Detach(a)
 	if op == nil {
 		return nil

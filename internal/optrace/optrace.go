@@ -4,9 +4,8 @@
 // cache-bank RPC, server daemon, disk, …) — the latency-breakdown evidence
 // the paper's §5–6 analysis argues from.
 //
-// The context rides in the actor's (sim.Proc or sim.Task) opaque context
-// slot, so xlator signatures need no extra parameter. Layers open spans
-// with StartSpan and
+// The context rides in the task's (sim.Task) opaque context slot, so xlator
+// signatures need no extra parameter. Layers open spans with StartSpan and
 // close them with End; both are nil-safe no-ops when no operation is
 // attached, and neither advances virtual time, so tracing never perturbs a
 // simulation's results.
@@ -148,7 +147,7 @@ func (s *Span) Attr(key string) string {
 // End closes the span at a's current virtual time, folds its duration
 // into its parent's child accounting, and records it on the operation. It
 // is a nil-safe no-op, and closing twice is ignored.
-func (s *Span) End(a sim.Actor) {
+func (s *Span) End(a *sim.Task) {
 	if s == nil || s.ended {
 		return
 	}
@@ -164,8 +163,8 @@ func (s *Span) End(a sim.Actor) {
 }
 
 // Op is the per-operation context: identity, deadline, and the recorded
-// spans. One Op may span several processes (RPC handlers, scatter-gather
-// workers) — Fork hands it to a helper process.
+// spans. One Op may span several tasks (RPC handlers, scatter-gather
+// workers) — Fork hands it to a helper task.
 type Op struct {
 	ID   uint64
 	Name string
@@ -264,10 +263,10 @@ func deeper(a, b *Span) bool {
 	return a.Start > b.Start
 }
 
-// state is what lives in an actor's context slot: the operation plus this
-// process's or task's current (innermost open) span. Each actor has its own
-// span cursor, so concurrent helpers nest correctly under the span that
-// spawned them without sharing a stack.
+// state is what lives in a task's context slot: the operation plus this
+// task's current (innermost open) span. Each task has its own span cursor,
+// so concurrent helpers nest correctly under the span that spawned them
+// without sharing a stack.
 type state struct {
 	op  *Op
 	cur *Span
@@ -275,10 +274,10 @@ type state struct {
 
 // Attach associates op with a; subsequent StartSpan calls on a record into
 // it. It replaces any previously attached operation.
-func Attach(a sim.Actor, op *Op) { a.SetCtx(&state{op: op}) }
+func Attach(a *sim.Task, op *Op) { a.SetCtx(&state{op: op}) }
 
 // Detach removes and returns a's operation (nil if none).
-func Detach(a sim.Actor) *Op {
+func Detach(a *sim.Task) *Op {
 	st, ok := a.Ctx().(*state)
 	if !ok {
 		return nil
@@ -287,9 +286,8 @@ func Detach(a sim.Actor) *Op {
 	return st.op
 }
 
-// FromProc returns the operation attached to the actor, or nil. (The name
-// predates the task engine; it accepts either execution style.)
-func FromProc(a sim.Actor) *Op {
+// FromTask returns the operation attached to the task, or nil.
+func FromTask(a *sim.Task) *Op {
 	if st, ok := a.Ctx().(*state); ok {
 		return st.op
 	}
@@ -302,7 +300,7 @@ func FromProc(a sim.Actor) *Op {
 // workers) call this right after creating the child; it must run before
 // the child first executes, which is guaranteed when the parent is the
 // running actor. No-op when the parent has no context.
-func Fork(parent, child sim.Actor) {
+func Fork(parent, child *sim.Task) {
 	st, ok := parent.Ctx().(*state)
 	if !ok {
 		return
@@ -313,7 +311,7 @@ func Fork(parent, child sim.Actor) {
 // StartSpan opens a span on a's operation and makes it the actor's
 // current span. It returns nil — still safe to annotate and end — when no
 // operation is attached, and costs no virtual time either way.
-func StartSpan(a sim.Actor, layer, name string) *Span {
+func StartSpan(a *sim.Task, layer, name string) *Span {
 	st, ok := a.Ctx().(*state)
 	if !ok {
 		return nil
@@ -333,8 +331,8 @@ func StartSpan(a sim.Actor, layer, name string) *Span {
 }
 
 // Deadline returns the deadline of a's operation, if one is armed.
-func Deadline(a sim.Actor) (sim.Time, bool) {
-	if op := FromProc(a); op != nil {
+func Deadline(a *sim.Task) (sim.Time, bool) {
+	if op := FromTask(a); op != nil {
 		return op.DeadlineTime()
 	}
 	return 0, false
@@ -342,15 +340,15 @@ func Deadline(a sim.Actor) (sim.Time, bool) {
 
 // Expired reports whether a's operation has an armed deadline at or before
 // the current virtual time.
-func Expired(a sim.Actor) bool {
+func Expired(a *sim.Task) bool {
 	dl, ok := Deadline(a)
 	return ok && a.Now() >= dl
 }
 
 // ClearDeadline disarms the deadline on a's operation, if any. Cache
 // layers call it when falling back to the authoritative server path.
-func ClearDeadline(a sim.Actor) {
-	if op := FromProc(a); op != nil {
+func ClearDeadline(a *sim.Task) {
+	if op := FromTask(a); op != nil {
 		op.ClearDeadline()
 	}
 }

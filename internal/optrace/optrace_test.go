@@ -9,26 +9,30 @@ import (
 	"imca/internal/sim"
 )
 
+// sleep blocks the script p for d of virtual time.
+func sleep(p *sim.Task, d sim.Duration) {
+	sim.Await(p, func(t *sim.Task, done func()) { t.Sleep(d, done) })
+}
+
 // TestSpanNestingAndSelf checks that exclusive times telescope: the sum of
 // every span's Self equals the root span's duration.
 func TestSpanNestingAndSelf(t *testing.T) {
 	env := sim.NewEnv()
 	col := NewCollector()
-	env.Process("op", func(p *sim.Proc) {
-		col.Begin(p, "read")
-		root := StartSpan(p, LayerFuse, "read")
-		p.Sleep(10 * time.Microsecond)
-		child := StartSpan(p, LayerCMCache, "read")
-		p.Sleep(30 * time.Microsecond)
-		grand := StartSpan(p, LayerMCD, "get")
-		grand.SetAttr("result", "hit")
-		p.Sleep(50 * time.Microsecond)
-		grand.End(p)
-		child.End(p)
-		p.Sleep(5 * time.Microsecond)
-		root.End(p)
-		col.End(p)
-	})
+	p := env.ContextTask("op")
+	col.Begin(p, "read")
+	root := StartSpan(p, LayerFuse, "read")
+	sleep(p, 10*time.Microsecond)
+	child := StartSpan(p, LayerCMCache, "read")
+	sleep(p, 30*time.Microsecond)
+	grand := StartSpan(p, LayerMCD, "get")
+	grand.SetAttr("result", "hit")
+	sleep(p, 50*time.Microsecond)
+	grand.End(p)
+	child.End(p)
+	sleep(p, 5*time.Microsecond)
+	root.End(p)
+	col.End(p)
 	env.Run()
 
 	op := col.Last
@@ -61,24 +65,23 @@ func TestSpanNestingAndSelf(t *testing.T) {
 // method is a no-op.
 func TestNilSafety(t *testing.T) {
 	env := sim.NewEnv()
-	env.Process("bare", func(p *sim.Proc) {
-		sp := StartSpan(p, LayerFuse, "read")
-		if sp != nil {
-			t.Errorf("StartSpan without op = %v, want nil", sp)
-		}
-		sp.SetAttr("k", "v")
-		sp.End(p)
-		if sp.Dur() != 0 || sp.Self() != 0 || sp.Attr("k") != "" {
-			t.Error("nil span accessors should return zero values")
-		}
-		if Expired(p) {
-			t.Error("Expired without op")
-		}
-		ClearDeadline(p)
-		if op := Detach(p); op != nil {
-			t.Errorf("Detach without op = %v", op)
-		}
-	})
+	p := env.ContextTask("bare")
+	sp := StartSpan(p, LayerFuse, "read")
+	if sp != nil {
+		t.Errorf("StartSpan without op = %v, want nil", sp)
+	}
+	sp.SetAttr("k", "v")
+	sp.End(p)
+	if sp.Dur() != 0 || sp.Self() != 0 || sp.Attr("k") != "" {
+		t.Error("nil span accessors should return zero values")
+	}
+	if Expired(p) {
+		t.Error("Expired without op")
+	}
+	ClearDeadline(p)
+	if op := Detach(p); op != nil {
+		t.Errorf("Detach without op = %v", op)
+	}
 	env.Run()
 }
 
@@ -87,33 +90,32 @@ func TestNilSafety(t *testing.T) {
 func TestForkNesting(t *testing.T) {
 	env := sim.NewEnv()
 	col := NewCollector()
-	env.Process("parent", func(p *sim.Proc) {
-		col.Begin(p, "read")
-		root := StartSpan(p, LayerCMCache, "read")
-		finished := sim.NewEvent(env)
-		child := env.Process("worker", func(q *sim.Proc) {
-			sp := StartSpan(q, LayerMCD, "get")
-			q.Sleep(20 * time.Microsecond)
+	p := env.ContextTask("parent")
+	col.Begin(p, "read")
+	root := StartSpan(p, LayerCMCache, "read")
+	child := env.StartTask("worker", func(q *sim.Task) {
+		sp := StartSpan(q, LayerMCD, "get")
+		q.Sleep(20*time.Microsecond, func() {
 			sp.End(q)
-			finished.Trigger(nil)
+			q.End()
 		})
-		Fork(p, child)
-		sim.Await(p, func(t *sim.Task, done func()) {
-			finished.Wait(t, func(interface{}) { done() })
-		})
-		root.End(p)
-		op := col.End(p)
-		if len(op.Spans) != 2 {
-			t.Errorf("want 2 spans, got %d", len(op.Spans))
-		}
-		mcd := op.Spans[0]
-		if mcd.Layer != LayerMCD || mcd.parent != root {
-			t.Errorf("child span should nest under root, got %+v", mcd)
-		}
-		if root.Self() != 0 || mcd.Self() != 20*time.Microsecond {
-			t.Errorf("self times: root %v (want 0), mcd %v (want 20µs)", root.Self(), mcd.Self())
-		}
 	})
+	Fork(p, child)
+	sim.Await(p, func(_ *sim.Task, done func()) {
+		child.Done().Wait(p, func(interface{}) { done() })
+	})
+	root.End(p)
+	op := col.End(p)
+	if len(op.Spans) != 2 {
+		t.Errorf("want 2 spans, got %d", len(op.Spans))
+	}
+	mcd := op.Spans[0]
+	if mcd.Layer != LayerMCD || mcd.parent != root {
+		t.Errorf("child span should nest under root, got %+v", mcd)
+	}
+	if root.Self() != 0 || mcd.Self() != 20*time.Microsecond {
+		t.Errorf("self times: root %v (want 0), mcd %v (want 20µs)", root.Self(), mcd.Self())
+	}
 	env.Run()
 }
 
@@ -122,25 +124,24 @@ func TestForkNesting(t *testing.T) {
 func TestDeadlineAccessors(t *testing.T) {
 	env := sim.NewEnv()
 	col := NewCollector()
-	env.Process("op", func(p *sim.Proc) {
-		op := col.Begin(p, "read")
-		if _, ok := Deadline(p); ok {
-			t.Error("deadline armed before SetDeadline")
-		}
-		op.SetDeadline(p.Now().Add(10 * time.Microsecond))
-		if Expired(p) {
-			t.Error("expired immediately after arming")
-		}
-		p.Sleep(10 * time.Microsecond)
-		if !Expired(p) {
-			t.Error("not expired at deadline")
-		}
-		ClearDeadline(p)
-		if Expired(p) {
-			t.Error("expired after clear")
-		}
-		col.End(p)
-	})
+	p := env.ContextTask("op")
+	op := col.Begin(p, "read")
+	if _, ok := Deadline(p); ok {
+		t.Error("deadline armed before SetDeadline")
+	}
+	op.SetDeadline(p.Now().Add(10 * time.Microsecond))
+	if Expired(p) {
+		t.Error("expired immediately after arming")
+	}
+	sleep(p, 10*time.Microsecond)
+	if !Expired(p) {
+		t.Error("not expired at deadline")
+	}
+	ClearDeadline(p)
+	if Expired(p) {
+		t.Error("expired after clear")
+	}
+	col.End(p)
 	env.Run()
 }
 
@@ -148,18 +149,17 @@ func TestDeadlineAccessors(t *testing.T) {
 func TestBreakdownReport(t *testing.T) {
 	env := sim.NewEnv()
 	col := NewCollector()
-	env.Process("ops", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			col.Begin(p, "read")
-			root := StartSpan(p, LayerFuse, "read")
-			p.Sleep(40 * time.Microsecond)
-			inner := StartSpan(p, LayerPosix, "read")
-			p.Sleep(60 * time.Microsecond)
-			inner.End(p)
-			root.End(p)
-			col.End(p)
-		}
-	})
+	p := env.ContextTask("ops")
+	for i := 0; i < 4; i++ {
+		col.Begin(p, "read")
+		root := StartSpan(p, LayerFuse, "read")
+		sleep(p, 40*time.Microsecond)
+		inner := StartSpan(p, LayerPosix, "read")
+		sleep(p, 60*time.Microsecond)
+		inner.End(p)
+		root.End(p)
+		col.End(p)
+	}
 	env.Run()
 
 	b := col.Breakdown()
@@ -198,16 +198,15 @@ func TestBreakdownReport(t *testing.T) {
 func TestBreakdownReportQuantileColumns(t *testing.T) {
 	env := sim.NewEnv()
 	col := NewCollector()
-	env.Process("ops", func(p *sim.Proc) {
-		// A latency spread so p50 and p99 land in different buckets.
-		for _, us := range []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 300} {
-			col.Begin(p, "read")
-			root := StartSpan(p, LayerFuse, "read")
-			p.Sleep(time.Duration(us) * time.Microsecond)
-			root.End(p)
-			col.End(p)
-		}
-	})
+	p := env.ContextTask("ops")
+	// A latency spread so p50 and p99 land in different buckets.
+	for _, us := range []int{10, 10, 10, 10, 10, 10, 10, 10, 10, 300} {
+		col.Begin(p, "read")
+		root := StartSpan(p, LayerFuse, "read")
+		sleep(p, time.Duration(us)*time.Microsecond)
+		root.End(p)
+		col.End(p)
+	}
 	env.Run()
 
 	var sb strings.Builder
@@ -243,15 +242,14 @@ func TestCollectorKeep(t *testing.T) {
 	env := sim.NewEnv()
 	off, on := NewCollector(), NewCollector()
 	on.Keep = true
-	env.Process("ops", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			off.Begin(p, "a")
-			off.End(p)
-			on.Begin(p, "b")
-			p.Sleep(time.Microsecond)
-			on.End(p)
-		}
-	})
+	p := env.ContextTask("ops")
+	for i := 0; i < 3; i++ {
+		off.Begin(p, "a")
+		off.End(p)
+		on.Begin(p, "b")
+		sleep(p, time.Microsecond)
+		on.End(p)
+	}
 	env.Run()
 	if n := len(off.Ops()); n != 0 {
 		t.Errorf("default collector retained %d ops", n)
@@ -268,26 +266,24 @@ func TestCollectorKeep(t *testing.T) {
 }
 
 // TestAwaitSpansNest: an operation a script runs through sim.Await opens
-// its spans on the process's context task, which shares the process's
-// context slot — so they nest under the script's current span exactly as
-// spans opened by the process itself would.
+// its spans on the script's task — so they nest under the script's current
+// span.
 func TestAwaitSpansNest(t *testing.T) {
 	env := sim.NewEnv()
 	col := NewCollector()
 	col.Keep = true
-	env.Process("script", func(p *sim.Proc) {
-		col.Begin(p, "read")
-		root := StartSpan(p, LayerOp, "read")
-		sim.Await(p, func(tk *sim.Task, done func()) {
-			sp := StartSpan(tk, LayerFuse, "read")
-			tk.Sleep(10*time.Microsecond, func() {
-				sp.End(tk)
-				done()
-			})
+	p := env.ContextTask("script")
+	col.Begin(p, "read")
+	root := StartSpan(p, LayerOp, "read")
+	sim.Await(p, func(tk *sim.Task, done func()) {
+		sp := StartSpan(tk, LayerFuse, "read")
+		tk.Sleep(10*time.Microsecond, func() {
+			sp.End(tk)
+			done()
 		})
-		root.End(p)
-		col.End(p)
 	})
+	root.End(p)
+	col.End(p)
 	env.Run()
 	ops := col.Ops()
 	if len(ops) != 1 || len(ops[0].Spans) != 2 {

@@ -48,7 +48,7 @@ type node struct {
 }
 
 // Cache is a bounded LRU page cache. It is not safe for concurrent use; in
-// the simulation exactly one process runs at a time, so no locking is
+// the simulation exactly one continuation runs at a time, so no locking is
 // needed.
 type Cache struct {
 	pageSize int64

@@ -2,26 +2,10 @@ package sim
 
 import "testing"
 
-// BenchmarkDispatch measures the bare event loop: one process sleeping
-// repeatedly, so every iteration is a schedule + heap pop + park/wake
-// handshake. This is the price of a real process wake-up.
+// BenchmarkDispatch measures the bare event loop: one task sleeping
+// repeatedly, so every iteration is a schedule + heap pop + closure
+// invocation.
 func BenchmarkDispatch(b *testing.B) {
-	b.ReportAllocs()
-	env := NewEnv()
-	env.Process("sleeper", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1)
-		}
-	})
-	b.ResetTimer()
-	env.Run()
-}
-
-// BenchmarkTaskDispatch is BenchmarkDispatch on the continuation engine:
-// one task sleeping repeatedly, so every iteration is a schedule + heap
-// pop + closure invocation with no goroutine handshake. Comparing the two
-// gives the per-client-operation saving of the task engine.
-func BenchmarkTaskDispatch(b *testing.B) {
 	b.ReportAllocs()
 	env := NewEnv()
 	env.StartTask("sleeper", func(t *Task) {

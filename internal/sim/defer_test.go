@@ -21,13 +21,15 @@ func TestDeferRunsAtScheduledTime(t *testing.T) {
 }
 
 // TestDeferOrderingWithProcesses verifies deferred functions interleave
-// with process wake-ups in strict (at, seq) order.
+// with task continuations in strict (at, seq) order.
 func TestDeferOrderingWithProcesses(t *testing.T) {
 	env := NewEnv()
 	var order []string
-	env.Process("p", func(p *Proc) {
-		p.Sleep(2)
-		order = append(order, "proc@2")
+	env.StartTask("p", func(tk *Task) {
+		tk.Sleep(2, func() {
+			order = append(order, "proc@2")
+			tk.End()
+		})
 	})
 	env.Defer(1, func() { order = append(order, "defer@1") })
 	env.Defer(3, func() { order = append(order, "defer@3") })

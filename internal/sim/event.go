@@ -43,7 +43,7 @@ func (ev *Event) Value() interface{} { return ev.value }
 
 // Trigger fires the event, waking all waiters at the current instant.
 // Triggering an already-triggered event is a no-op (the first value wins).
-// It may be called from any process or from scheduler context. Each waiter
+// It may be called from a script or from scheduler context. Each waiter
 // costs one scheduled event.
 func (ev *Event) Trigger(v interface{}) {
 	if ev.triggered {
@@ -57,10 +57,10 @@ func (ev *Event) Trigger(v interface{}) {
 		if w.fn0 != nil {
 			// Niladic continuations dispatch as-is: the owner reads
 			// Value() itself, so no per-trigger closure is needed.
-			ev.env.schedule(ev.env.now, nil, w.fn0)
+			ev.env.schedule(ev.env.now, w.fn0)
 		} else {
 			fn := w.fn
-			ev.env.schedule(ev.env.now, nil, func() { fn(ev.value) })
+			ev.env.schedule(ev.env.now, func() { fn(ev.value) })
 		}
 		*w = eventWaiter{}
 	}

@@ -19,13 +19,12 @@ func Example() {
 			t.End()
 		})
 	})
-	env.Process("consumer", func(p *sim.Proc) {
-		var v interface{}
-		sim.Await(p, func(t *sim.Task, done func()) {
-			ready.Wait(t, func(x interface{}) { v = x; done() })
-		})
-		fmt.Printf("received %q at t=%v\n", v, sim.Duration(p.Now()))
+	consumer := env.ContextTask("consumer")
+	var v interface{}
+	sim.Await(consumer, func(t *sim.Task, done func()) {
+		ready.Wait(t, func(x interface{}) { v = x; done() })
 	})
+	fmt.Printf("received %q at t=%v\n", v, sim.Duration(consumer.Now()))
 
 	env.Run()
 	// Output: received "payload" at t=3ms

@@ -96,7 +96,7 @@ func (r *Resource) Release(n int) {
 		r.accountBusy()
 		r.inUse += w.n
 		r.waitTime += r.env.now.Sub(w.t)
-		r.env.schedule(r.env.now, nil, w.fn)
+		r.env.schedule(r.env.now, w.fn)
 	}
 	// Reclaim the dead prefix so steady-state contention reuses one
 	// backing array instead of growing it per admission. Host-side only:
@@ -212,7 +212,7 @@ func (b *Barrier) Wait(t *Task, k func()) {
 // the barrier for the next generation.
 func (b *Barrier) release() {
 	for _, k := range b.waiting {
-		b.env.schedule(b.env.now, nil, k)
+		b.env.schedule(b.env.now, k)
 	}
 	b.waiting = b.waiting[:0]
 }

@@ -4,9 +4,9 @@
 // time is virtual, and a task advances the clock only through the
 // kernel's primitives (Task.Sleep, Event, Resource, Barrier), each of
 // which takes the rest of the computation as a callback. Sequential
-// scripts run as goroutine-backed processes (Proc) that sleep directly and
-// drive task-style operations through Await. The kernel runs exactly one
-// process goroutine or continuation at a time and orders simultaneous
+// scripts run on the host and drive task-style operations through Await,
+// which dispatches events until the awaited operation completes. The
+// kernel dispatches one continuation at a time and orders simultaneous
 // events by creation sequence, so a simulation is fully deterministic and
 // race-free without locks.
 //
@@ -21,27 +21,21 @@
 //	})
 //	env.Run()
 //
-// A Proc's methods must be called from that process's own goroutine while
-// it is the running process.
-//
 // # Dispatch cost
 //
-// Two kinds of events exist, with very different host-side price tags.
-// Waking a parked process costs a goroutine park/wake handshake (two
-// channel operations); running a deferred function (Env.Defer) is a plain
-// call in scheduler context and pays no handshake at all. Timeouts and
-// other bookkeeping that does not need a process of its own should use
-// Defer. The pending-event queue is a 4-ary min-heap of event values in a
-// single backing array: scheduling allocates nothing (vacated slots are
-// recycled in place, serving as the event free list), and the shallow wide
-// heap keeps comparisons inside one cache line per level.
+// Every event is a function call in scheduler context: a task's
+// continuation or a deferred function (Env.Defer). The pending-event queue
+// is a 4-ary min-heap of event values in a single backing array:
+// scheduling allocates nothing (vacated slots are recycled in place,
+// serving as the event free list), and the shallow wide heap keeps
+// comparisons inside one cache line per level.
 package sim
 
 import (
 	"fmt"
 	"time"
 
-	//imcalint:allow nogoroutine host-side dispatch total: one atomic add per Run, read only by harness telemetry
+	//imcalint:allow nogoroutine host-side dispatch total: one atomic add per dispatch loop, read only by harness telemetry
 	"sync/atomic"
 )
 
@@ -65,14 +59,13 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 // String formats the time as a duration since simulation start.
 func (t Time) String() string { return Duration(t).String() }
 
-// event is a scheduled wake-up of a process or a deferred function call.
-// Events are stored by value in the heap's backing array, so scheduling
-// one allocates nothing.
+// event is a scheduled call of fn in scheduler context. Events are stored
+// by value in the heap's backing array, so scheduling one allocates
+// nothing.
 type event struct {
-	at   Time
-	seq  uint64
-	proc *Proc  // process to resume, or nil
-	fn   func() // function to run in scheduler context, or nil
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 // eventHeap is a 4-ary min-heap of events ordered by (at, seq). A wide
@@ -109,7 +102,7 @@ func (h *eventHeap) push(ev event) {
 
 // pop removes and returns the minimum event. The vacated tail slot is
 // zeroed so the backing array (the kernel's event free list) does not pin
-// dead Proc or closure references.
+// dead closures.
 func (h *eventHeap) pop() event {
 	a := *h
 	top := a[0]
@@ -149,9 +142,9 @@ func (h *eventHeap) pop() event {
 }
 
 // totalEvents accumulates dispatched events across every environment in
-// the process, updated once per Run/RunUntil return. Harness telemetry
-// reads it to report host-side throughput (events per wall second); the
-// hot dispatch loop itself never touches it.
+// the process, updated once per dispatch loop (RunUntil, Await). Harness
+// telemetry reads it to report host-side throughput (events per wall
+// second); the hot dispatch loop itself never touches it.
 var totalEvents atomic.Uint64
 
 // TotalEvents returns the number of events dispatched by all environments
@@ -159,33 +152,19 @@ var totalEvents atomic.Uint64
 // events-per-second gauge. It is safe to call from any goroutine.
 func TotalEvents() uint64 { return totalEvents.Load() }
 
-// Env is a simulation environment: a virtual clock plus the set of
-// processes and pending events that advance it.
+// Env is a simulation environment: a virtual clock plus the pending
+// events that advance it.
 type Env struct {
 	now  Time
 	seq  uint64
 	heap eventHeap
-	//imcalint:allow nogoroutine kernel handshake: running process signals the scheduler
-	yielded chan struct{}
-	living  int // processes started and not yet finished
-	parked  int // processes blocked on a primitive
-	nextPID int
 
 	tasksLive int // tasks started and not yet ended
 	nextTID   int
 
-	// running is the process whose goroutine holds control, or nil in
-	// scheduler context; Await uses it to refuse an inline wake-up from
-	// process context.
-	running *Proc
-
-	// procFree recycles finished Procs — struct, handshake channel, and
-	// prebound starter — so spawning a process in steady state allocates
-	// nothing but the goroutine itself (whose stack the Go runtime also
-	// recycles). A Proc is pooled only when no stale wake-up event still
-	// references it (see pendingWakes), so a recycled identity can never
-	// be woken by its previous life's events.
-	procFree []*Proc
+	// dispatching is set while the dispatch loop runs, that is in
+	// scheduler context; Await refuses to run there.
+	dispatching bool
 
 	// EventsProcessed counts dispatched events — a cheap measure of how
 	// much simulated activity a run performed, useful when comparing the
@@ -201,38 +180,24 @@ type Env struct {
 }
 
 // NewEnv returns an empty environment with the clock at zero.
-func NewEnv() *Env {
-	return &Env{yielded: make(chan struct{})} //imcalint:allow nogoroutine kernel handshake channel
-}
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
 
-// schedule enqueues an event at absolute time at.
-func (e *Env) schedule(at Time, proc *Proc, fn func()) {
+// schedule enqueues fn to run at absolute time at.
+func (e *Env) schedule(at Time, fn func()) {
 	e.seq++
-	e.heap.push(event{at: at, seq: e.seq, proc: proc, fn: fn})
-}
-
-// scheduleProc enqueues a wake-up for p after delay d.
-func (e *Env) scheduleProc(p *Proc, d Duration) {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	p.pendingWakes++
-	e.schedule(e.now.Add(d), p, nil)
+	e.heap.push(event{at: at, seq: e.seq, fn: fn})
 }
 
 // Defer schedules fn to run in scheduler context at the current time plus
-// d. Unlike a process wake-up, dispatching a deferred function pays no
-// goroutine park/wake handshake — it is a plain call between events — so
-// it is the cheap way to express timeouts, sensors, and other bookkeeping
-// that does not need a blocking process of its own.
+// d. It is the way to express timeouts, sensors, and other bookkeeping
+// that does not belong to a task of its own.
 //
-// fn runs between event dispatches, when no process is mid-action. It may
-// schedule further work (trigger events, call Defer, start tasks or
-// processes) but must not call Proc.Sleep or Await: there is no process to
-// block.
+// fn runs between event dispatches. It may schedule further work (trigger
+// events, call Defer, start tasks) but must not call Await: there is no
+// script to block.
 func (e *Env) Defer(d Duration, fn func()) {
 	if d < 0 {
 		panic("sim: negative defer delay")
@@ -240,170 +205,17 @@ func (e *Env) Defer(d Duration, fn func()) {
 	if fn == nil {
 		panic("sim: nil deferred function")
 	}
-	e.schedule(e.now.Add(d), nil, fn)
-}
-
-// Proc is a simulated process. Its methods must be called only from its own
-// goroutine while it is the running process.
-type Proc struct {
-	env  *Env
-	name string
-	pid  int
-	//imcalint:allow nogoroutine kernel handshake: scheduler wakes the parked process
-	resume chan struct{}
-	done   *Event
-	ended  bool
-	ctx    interface{}
-	// task is the context task Await runs operations on, created on
-	// first use and kept across pooled lives.
-	task *Task
-
-	// body holds the process function between Process and the starter
-	// event firing; start is the prebound starter closure, created once
-	// per Proc and reused across pooled lives so Process schedules it
-	// without allocating.
-	body  func(p *Proc)
-	start func()
-	// pendingWakes counts scheduled wake-up events that reference this
-	// Proc and have not yet dispatched. A Proc that ends while one is
-	// still in the heap is not recycled (the dispatch loop skips wake-ups
-	// for ended processes, exactly as before pooling).
-	pendingWakes int
-}
-
-// Name returns the name given at creation.
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the environment the process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.env.now }
-
-// Done returns an event triggered when the process function returns. The
-// event is created on first use — most processes are never watched, and
-// the lazy event is what lets a finished Proc return to the free list
-// without resetting state an observer might still hold.
-func (p *Proc) Done() *Event {
-	if p.done == nil {
-		p.done = NewEvent(p.env)
-		if p.ended {
-			p.done.Trigger(nil)
-		}
-	}
-	return p.done
-}
-
-// Ctx returns the process's context slot, or nil. The slot is opaque to the
-// kernel; higher layers (e.g. optrace) use it to attach per-operation state
-// without widening every call signature.
-func (p *Proc) Ctx() interface{} { return p.ctx }
-
-// SetCtx stores v in the process's context slot. It may be called by the
-// process itself, or by its creator before the new process first runs
-// (e.g. to hand an RPC handler the caller's operation context); the kernel
-// runs one goroutine at a time, so the slot needs no locking.
-func (p *Proc) SetCtx(v interface{}) { p.ctx = v }
-
-// String identifies the process for diagnostics.
-func (p *Proc) String() string { return fmt.Sprintf("proc %d (%s)", p.pid, p.name) }
-
-// Process creates a process that will start at the current virtual time
-// (when the scheduler next reaches it). It may be called before Run or from
-// a running process.
-func (e *Env) Process(name string, fn func(p *Proc)) *Proc {
-	e.nextPID++
-	var p *Proc
-	if n := len(e.procFree); n > 0 {
-		p = e.procFree[n-1]
-		e.procFree[n-1] = nil
-		e.procFree = e.procFree[:n-1]
-		p.name = name
-		p.pid = e.nextPID
-		p.ended = false
-		p.ctx = nil
-		// The previous life's done event, if anyone asked for one, stays
-		// with whoever holds it (already triggered); this life starts
-		// with none and creates its own lazily.
-		p.done = nil
-	} else {
-		p = &Proc{
-			env:    e,
-			name:   name,
-			pid:    e.nextPID,
-			resume: make(chan struct{}), //imcalint:allow nogoroutine kernel handshake channel
-		}
-		p.start = func() {
-			body := p.body
-			p.body = nil
-			p.env.running = p
-			go p.run(body)  //imcalint:allow nogoroutine the kernel itself multiplexes process goroutines one at a time
-			<-p.env.yielded //imcalint:allow nogoroutine kernel handshake: wait for the new process to yield
-			p.env.running = nil
-		}
-	}
-	p.body = fn
-	e.living++
-	e.schedule(e.now, nil, p.start)
-	return p
-}
-
-func (p *Proc) run(fn func(p *Proc)) {
-	defer p.finish()
-	fn(p)
-}
-
-// finish ends the process: it flips the lifecycle state, notifies any
-// Done watcher, recycles the Proc when no stale wake-up still points at
-// it, and yields to the scheduler one last time. The goroutine exits
-// right after; a pooled restart spawns a fresh one on the same struct.
-func (p *Proc) finish() {
-	p.ended = true
-	p.env.living--
-	if p.done != nil {
-		p.done.Trigger(nil)
-	}
-	if p.pendingWakes == 0 {
-		p.env.procFree = append(p.env.procFree, p)
-	}
-	p.env.yielded <- struct{}{} //imcalint:allow nogoroutine kernel handshake: final yield on process exit
-}
-
-// park blocks the calling process goroutine and returns control to the
-// scheduler; the process resumes when a scheduled event wakes it.
-func (p *Proc) park() {
-	p.env.parked++
-	p.env.yielded <- struct{}{} //imcalint:allow nogoroutine kernel handshake: hand control to the scheduler
-	<-p.resume                  //imcalint:allow nogoroutine kernel handshake: block until rescheduled
-	p.env.parked--
-}
-
-// Sleep advances the process by d of virtual time.
-func (p *Proc) Sleep(d Duration) {
-	if d < 0 {
-		panic("sim: negative sleep")
-	}
-	p.env.scheduleProc(p, d)
-	p.park()
-}
-
-// wake delivers a resume to p and waits for it to yield again. Must be
-// called in scheduler context only.
-func (e *Env) wake(p *Proc) {
-	e.running = p
-	p.resume <- struct{}{} //imcalint:allow nogoroutine kernel handshake: resume the woken process
-	<-e.yielded            //imcalint:allow nogoroutine kernel handshake: wait for it to yield again
-	e.running = nil
+	e.schedule(e.now.Add(d), fn)
 }
 
 // SetTick installs fn as the environment's tick observer: it is invoked
 // with each boundary time now, now+interval, now+2·interval, … as the
 // clock reaches or passes it. A nil fn removes the observer.
 //
-// The callback runs in scheduler context between event dispatches, when no
-// process is mid-action, so a read-only observer sees a consistent snapshot
-// of simulation state as of the boundary instant (state only changes when
-// events run, and none ran between the previous event and the boundary).
+// The callback runs in scheduler context between event dispatches, so a
+// read-only observer sees a consistent snapshot of simulation state as of
+// the boundary instant (state only changes when events run, and none ran
+// between the previous event and the boundary).
 // Because the hook schedules nothing, installing it cannot change a
 // simulation's behaviour — results are byte-identical with it on or off.
 // The callback must not schedule anything (Defer, Trigger, Task.Sleep, …).
@@ -432,25 +244,47 @@ func (e *Env) fireTicks() {
 }
 
 // Run processes events until none remain. It returns the final virtual
-// time. If processes remain parked with no pending events, the simulation
-// is deadlocked and Run panics with a diagnostic, since that always
-// indicates a modelling bug.
+// time. If tasks remain un-ended with no pending events, the simulation is
+// deadlocked and Run panics with a diagnostic, since that always indicates
+// a modelling bug.
 func (e *Env) Run() Time {
-	return e.RunUntil(Time(1<<62 - 1))
+	return e.RunUntil(maxTime)
 }
 
+// maxTime is the limit of a run that stops only when the queue drains.
+const maxTime = Time(1<<62 - 1)
+
 // RunUntil processes events with timestamps <= limit and returns the
-// current virtual time afterwards.
+// current virtual time afterwards. When an event is pending beyond limit,
+// the clock advances to limit; a limit in the past dispatches nothing and
+// leaves the clock where it is.
 //
-//imcalint:hotpath dispatch loop: ~1.29 allocs/event budget for fig5 scale-16 rests on this body staying allocation-free
+//imcalint:hotpath dispatch loop: fig5's ~0.26 allocs/event (BENCH_baseline.json) rests on dispatch staying allocation-free
 func (e *Env) RunUntil(limit Time) Time {
+	e.dispatch(limit, nil)
+	if len(e.heap) == 0 && e.tasksLive > 0 {
+		panic(fmt.Sprintf("sim: deadlock at %v: %d task(s) un-ended with no pending events", e.now, e.tasksLive))
+	}
+	return e.now
+}
+
+// dispatch runs events in (at, seq) order until the queue drains, the next
+// event lies beyond limit, or, when stop is non-nil, a dispatch sets
+// *stop.
+func (e *Env) dispatch(limit Time, stop *bool) {
 	start := e.EventsProcessed
-	defer func() { totalEvents.Add(e.EventsProcessed - start) }() //imcalint:allow allocfree one closure per RunUntil call, amortized over every event it dispatches
+	e.dispatching = true
+	defer func() { //imcalint:allow allocfree one closure per dispatch call, amortized over every event it dispatches
+		e.dispatching = false
+		totalEvents.Add(e.EventsProcessed - start)
+	}()
 	for len(e.heap) > 0 {
 		if e.heap[0].at > limit {
-			e.now = limit
-			e.fireTicks()
-			return e.now
+			if limit > e.now {
+				e.now = limit
+				e.fireTicks()
+			}
+			return
 		}
 		ev := e.heap.pop()
 		e.now = ev.at
@@ -458,22 +292,9 @@ func (e *Env) RunUntil(limit Time) Time {
 			e.fireTicks()
 		}
 		e.EventsProcessed++
-		switch {
-		case ev.fn != nil:
-			// Deferred functions dispatch inline: no goroutine handshake.
-			ev.fn()
-		case ev.proc != nil:
-			ev.proc.pendingWakes--
-			if !ev.proc.ended {
-				e.wake(ev.proc)
-			}
+		ev.fn()
+		if stop != nil && *stop {
+			return
 		}
 	}
-	if e.living > 0 && e.parked == e.living {
-		panic(fmt.Sprintf("sim: deadlock at %v: %d process(es) parked with no pending events", e.now, e.parked))
-	}
-	if e.tasksLive > 0 {
-		panic(fmt.Sprintf("sim: deadlock at %v: %d task(s) un-ended with no pending events", e.now, e.tasksLive))
-	}
-	return e.now
 }

@@ -1,44 +1,55 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
 
-// The helpers below block a process on a continuation primitive through
-// Await, the way scripts drive the kernel.
+// The helpers below block a host-side script on a continuation primitive
+// through Await, the way scripts drive the kernel.
 
-// wait blocks p until ev triggers and returns the trigger value.
-func wait(p *Proc, ev *Event) interface{} {
+// sleep blocks the script s for d of virtual time.
+func sleep(s *Task, d Duration) {
+	Await(s, func(t *Task, done func()) { t.Sleep(d, done) })
+}
+
+// wait blocks the script s until ev triggers and returns the trigger value.
+func wait(s *Task, ev *Event) interface{} {
 	var v interface{}
-	Await(p, func(t *Task, done func()) {
+	Await(s, func(t *Task, done func()) {
 		ev.Wait(t, func(x interface{}) { v = x; done() })
 	})
 	return v
 }
 
-// acquire blocks p until n units of r are granted.
-func acquire(p *Proc, r *Resource, n int) {
-	Await(p, func(t *Task, done func()) { r.Acquire(t, n, done) })
+// use blocks the script s while it holds one unit of r for d.
+func use(s *Task, r *Resource, d Duration) {
+	Await(s, func(t *Task, done func()) { r.Use(t, d, done) })
 }
 
-// use blocks p while it holds one unit of r for d.
-func use(p *Proc, r *Resource, d Duration) {
-	Await(p, func(t *Task, done func()) { r.Use(t, d, done) })
-}
-
-// arrive blocks p until every party of b has arrived.
-func arrive(p *Proc, b *Barrier) {
-	Await(p, func(t *Task, done func()) { b.Wait(t, done) })
+// sleepN sleeps t n times for d each, calling step after each sleep, then
+// ends the task.
+func sleepN(t *Task, n int, d Duration, step func(i int)) {
+	var loop func(i int)
+	loop = func(i int) {
+		if i == n {
+			t.End()
+			return
+		}
+		t.Sleep(d, func() {
+			step(i)
+			loop(i + 1)
+		})
+	}
+	loop(0)
 }
 
 func TestClockAdvancesWithSleep(t *testing.T) {
 	env := NewEnv()
-	var woke Time
-	env.Process("sleeper", func(p *Proc) {
-		p.Sleep(42 * time.Microsecond)
-		woke = p.Now()
-	})
+	s := env.ContextTask("sleeper")
+	sleep(s, 42*time.Microsecond)
+	woke := s.Now()
 	end := env.Run()
 	if woke != Time(42*time.Microsecond) {
 		t.Errorf("woke at %v, want 42µs", woke)
@@ -51,13 +62,16 @@ func TestClockAdvancesWithSleep(t *testing.T) {
 func TestZeroSleepYields(t *testing.T) {
 	env := NewEnv()
 	var order []string
-	env.Process("a", func(p *Proc) {
+	env.StartTask("a", func(tk *Task) {
 		order = append(order, "a1")
-		p.Sleep(0)
-		order = append(order, "a2")
+		tk.Sleep(0, func() {
+			order = append(order, "a2")
+			tk.End()
+		})
 	})
-	env.Process("b", func(p *Proc) {
+	env.StartTask("b", func(tk *Task) {
 		order = append(order, "b1")
+		tk.End()
 	})
 	env.Run()
 	want := []string{"a1", "b1", "a2"}
@@ -73,9 +87,11 @@ func TestSimultaneousEventsRunInScheduleOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		env.Process("p", func(p *Proc) {
-			p.Sleep(time.Millisecond)
-			order = append(order, i)
+		env.StartTask("p", func(tk *Task) {
+			tk.Sleep(time.Millisecond, func() {
+				order = append(order, i)
+				tk.End()
+			})
 		})
 	}
 	env.Run()
@@ -92,11 +108,14 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		var order []int
 		for i := 0; i < 50; i++ {
 			i := i
-			env.Process("p", func(p *Proc) {
-				p.Sleep(Duration(i%7) * time.Microsecond)
-				order = append(order, i)
-				p.Sleep(Duration((i*31)%11) * time.Microsecond)
-				order = append(order, 100+i)
+			env.StartTask("p", func(tk *Task) {
+				tk.Sleep(Duration(i%7)*time.Microsecond, func() {
+					order = append(order, i)
+					tk.Sleep(Duration((i*31)%11)*time.Microsecond, func() {
+						order = append(order, 100+i)
+						tk.End()
+					})
+				})
 			})
 		}
 		env.Run()
@@ -118,16 +137,21 @@ func TestEventWakesAllWaiters(t *testing.T) {
 	ev := NewEvent(env)
 	woke := 0
 	for i := 0; i < 5; i++ {
-		env.Process("waiter", func(p *Proc) {
-			if got := wait(p, ev); got != "go" {
-				t.Errorf("Wait returned %v, want go", got)
-			}
-			woke++
+		env.StartTask("waiter", func(tk *Task) {
+			ev.Wait(tk, func(got interface{}) {
+				if got != "go" {
+					t.Errorf("Wait returned %v, want go", got)
+				}
+				woke++
+				tk.End()
+			})
 		})
 	}
-	env.Process("trigger", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		ev.Trigger("go")
+	env.StartTask("trigger", func(tk *Task) {
+		tk.Sleep(time.Millisecond, func() {
+			ev.Trigger("go")
+			tk.End()
+		})
 	})
 	env.Run()
 	if woke != 5 {
@@ -141,29 +165,26 @@ func TestEventWakesAllWaiters(t *testing.T) {
 func TestEventWaitAfterTriggerReturnsImmediately(t *testing.T) {
 	env := NewEnv()
 	ev := NewEvent(env)
-	env.Process("p", func(p *Proc) {
-		ev.Trigger(7)
-		before := p.Now()
-		if got := wait(p, ev); got != 7 {
-			t.Errorf("got %v, want 7", got)
-		}
-		if p.Now() != before {
-			t.Error("Wait on triggered event advanced time")
-		}
-	})
+	s := env.ContextTask("p")
+	ev.Trigger(7)
+	before := s.Now()
+	if got := wait(s, ev); got != 7 {
+		t.Errorf("got %v, want 7", got)
+	}
+	if s.Now() != before {
+		t.Error("Wait on triggered event advanced time")
+	}
 	env.Run()
 }
 
 func TestEventSecondTriggerIgnored(t *testing.T) {
 	env := NewEnv()
 	ev := NewEvent(env)
-	env.Process("p", func(p *Proc) {
-		ev.Trigger(1)
-		ev.Trigger(2)
-		if ev.Value() != 1 {
-			t.Errorf("value = %v, want 1 (first trigger wins)", ev.Value())
-		}
-	})
+	ev.Trigger(1)
+	ev.Trigger(2)
+	if ev.Value() != 1 {
+		t.Errorf("value = %v, want 1 (first trigger wins)", ev.Value())
+	}
 	env.Run()
 }
 
@@ -172,9 +193,11 @@ func TestResourceSerializes(t *testing.T) {
 	res := NewResource(env, 1)
 	var finish []Time
 	for i := 0; i < 3; i++ {
-		env.Process("user", func(p *Proc) {
-			use(p, res, 10*time.Microsecond)
-			finish = append(finish, p.Now())
+		env.StartTask("user", func(tk *Task) {
+			res.Use(tk, 10*time.Microsecond, func() {
+				finish = append(finish, tk.Now())
+				tk.End()
+			})
 		})
 	}
 	env.Run()
@@ -191,9 +214,11 @@ func TestResourceCapacityTwoRunsPairsConcurrently(t *testing.T) {
 	res := NewResource(env, 2)
 	var finish []Time
 	for i := 0; i < 4; i++ {
-		env.Process("user", func(p *Proc) {
-			use(p, res, 10*time.Microsecond)
-			finish = append(finish, p.Now())
+		env.StartTask("user", func(tk *Task) {
+			res.Use(tk, 10*time.Microsecond, func() {
+				finish = append(finish, tk.Now())
+				tk.End()
+			})
 		})
 	}
 	env.Run()
@@ -208,12 +233,16 @@ func TestResourceFIFOOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		env.Process("user", func(p *Proc) {
-			p.Sleep(Duration(i) * time.Microsecond) // arrive in index order
-			acquire(p, res, 1)
-			order = append(order, i)
-			p.Sleep(100 * time.Microsecond)
-			res.Release(1)
+		env.StartTask("user", func(tk *Task) {
+			tk.Sleep(Duration(i)*time.Microsecond, func() { // arrive in index order
+				res.Acquire(tk, 1, func() {
+					order = append(order, i)
+					tk.Sleep(100*time.Microsecond, func() {
+						res.Release(1)
+						tk.End()
+					})
+				})
+			})
 		})
 	}
 	env.Run()
@@ -227,10 +256,9 @@ func TestResourceFIFOOrder(t *testing.T) {
 func TestResourceUtilization(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, 1)
-	env.Process("u", func(p *Proc) {
-		use(p, res, 30*time.Microsecond)
-		p.Sleep(70 * time.Microsecond)
-	})
+	s := env.ContextTask("u")
+	use(s, res, 30*time.Microsecond)
+	sleep(s, 70*time.Microsecond)
 	env.Run()
 	if u := res.Utilization(); u < 0.29 || u > 0.31 {
 		t.Errorf("utilization = %f, want ~0.30", u)
@@ -243,14 +271,19 @@ func TestBarrierReleasesTogetherAndIsReusable(t *testing.T) {
 	var released []Time
 	for i := 0; i < 3; i++ {
 		i := i
-		env.Process("p", func(p *Proc) {
-			p.Sleep(Duration(i*10) * time.Microsecond)
-			arrive(p, bar)
-			released = append(released, p.Now())
-			// Second generation.
-			p.Sleep(Duration((3-i)*10) * time.Microsecond)
-			arrive(p, bar)
-			released = append(released, p.Now())
+		env.StartTask("p", func(tk *Task) {
+			tk.Sleep(Duration(i*10)*time.Microsecond, func() {
+				bar.Wait(tk, func() {
+					released = append(released, tk.Now())
+					// Second generation.
+					tk.Sleep(Duration((3-i)*10)*time.Microsecond, func() {
+						bar.Wait(tk, func() {
+							released = append(released, tk.Now())
+							tk.End()
+						})
+					})
+				})
+			})
 		})
 	}
 	env.Run()
@@ -269,30 +302,22 @@ func TestBarrierReleasesTogetherAndIsReusable(t *testing.T) {
 	}
 }
 
-func TestProcDoneEvent(t *testing.T) {
+func TestTaskDoneEvent(t *testing.T) {
 	env := NewEnv()
-	child := env.Process("child", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-	})
-	var sawDone Time
-	env.Process("parent", func(p *Proc) {
-		wait(p, child.Done())
-		sawDone = p.Now()
-	})
-	env.Run()
-	if sawDone != Time(time.Millisecond) {
-		t.Errorf("parent saw done at %v, want 1ms", sawDone)
+	child := env.StartTask("child", func(tk *Task) { tk.Sleep(time.Millisecond, tk.End) })
+	s := env.ContextTask("parent")
+	wait(s, child.Done())
+	if s.Now() != Time(time.Millisecond) {
+		t.Errorf("parent saw done at %v, want 1ms", s.Now())
 	}
+	env.Run()
 }
 
 func TestRunUntilStopsEarly(t *testing.T) {
 	env := NewEnv()
 	steps := 0
-	env.Process("ticker", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(time.Millisecond)
-			steps++
-		}
+	env.StartTask("ticker", func(tk *Task) {
+		sleepN(tk, 100, time.Millisecond, func(int) { steps++ })
 	})
 	now := env.RunUntil(Time(5500 * time.Microsecond))
 	if steps != 5 {
@@ -308,31 +333,50 @@ func TestRunUntilStopsEarly(t *testing.T) {
 	}
 }
 
+// TestRunUntilPastLimitKeepsClock: a limit behind the clock dispatches
+// nothing and leaves the clock where it is, even with events pending.
+func TestRunUntilPastLimitKeepsClock(t *testing.T) {
+	env := NewEnv()
+	env.Defer(10, func() {})
+	env.Defer(100, func() {})
+	if now := env.RunUntil(50); now != 50 {
+		t.Fatalf("RunUntil(50) = %v, want 50ns", now)
+	}
+	events := env.EventsProcessed
+	if now := env.RunUntil(20); now != 50 {
+		t.Errorf("RunUntil(20) after RunUntil(50) = %v, want the clock to stay at 50ns", now)
+	}
+	if env.EventsProcessed != events {
+		t.Errorf("RunUntil into the past dispatched %d events", env.EventsProcessed-events)
+	}
+	if end := env.Run(); end != 100 {
+		t.Errorf("Run ended at %v, want 100ns", end)
+	}
+}
+
 func TestDeadlockPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Error("expected deadlock panic")
+		r := recover()
+		if r == nil {
+			t.Fatal("expected deadlock panic")
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, "sim: deadlock at 0s") || !strings.Contains(msg, "stuck") {
+			t.Errorf("panic %q does not name the deadlock and the waiting script", r)
 		}
 	}()
 	env := NewEnv()
 	ev := NewEvent(env)
-	env.Process("stuck", func(p *Proc) {
-		wait(p, ev) // nobody will ever trigger it
-	})
-	env.Run()
+	wait(env.ContextTask("stuck"), ev) // nobody will ever trigger it
 }
 
 func TestNegativeSleepPanics(t *testing.T) {
 	env := NewEnv()
-	env.Process("bad", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic on negative sleep")
-			}
-		}()
-		p.Sleep(-1)
-	})
-	env.Run()
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic on negative sleep")
+		}
+	}()
+	env.ContextTask("bad").Sleep(-1, func() {})
 }
 
 func TestManyProcessesThroughput(t *testing.T) {
@@ -340,11 +384,12 @@ func TestManyProcessesThroughput(t *testing.T) {
 	const n = 1000
 	done := 0
 	for i := 0; i < n; i++ {
-		env.Process("worker", func(p *Proc) {
-			for j := 0; j < 10; j++ {
-				p.Sleep(time.Microsecond)
-			}
-			done++
+		env.StartTask("worker", func(tk *Task) {
+			sleepN(tk, 10, time.Microsecond, func(j int) {
+				if j == 9 {
+					done++
+				}
+			})
 		})
 	}
 	env.Run()
@@ -355,10 +400,8 @@ func TestManyProcessesThroughput(t *testing.T) {
 
 func TestEventsProcessedCounter(t *testing.T) {
 	env := NewEnv()
-	env.Process("p", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(time.Microsecond)
-		}
+	env.StartTask("p", func(tk *Task) {
+		sleepN(tk, 5, time.Microsecond, func(int) {})
 	})
 	env.Run()
 	// 1 start event + 5 sleep wake-ups.

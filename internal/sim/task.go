@@ -2,32 +2,10 @@ package sim
 
 import "fmt"
 
-// Actor is the common face of the kernel's two execution styles: a *Proc
-// (a goroutine-backed script) and a *Task (continuation-style, advanced by
-// heap events). Layers that only need the clock and the
-// per-operation context slot — tracing, health accounting, span
-// bookkeeping — accept an Actor so one implementation serves both engines.
-type Actor interface {
-	Env() *Env
-	Now() Time
-	Ctx() interface{}
-	SetCtx(v interface{})
-	Name() string
-	String() string
-}
-
-var (
-	_ Actor = (*Proc)(nil)
-	_ Actor = (*Task)(nil)
-)
-
 // Task is a simulated activity written in continuation-passing style: a
-// state machine advanced by plain heap events instead of a parked
-// goroutine. Where a Proc pays a goroutine park/wake handshake (two channel
-// operations) per blocking primitive, a Task's continuation is dispatched
-// inline in scheduler context like any deferred function, so ten thousand
-// concurrent clients cost ten thousand pending closures, not ten thousand
-// goroutines.
+// state machine advanced by plain heap events. Its continuations are
+// dispatched in scheduler context like any deferred function, so ten
+// thousand concurrent clients cost ten thousand pending closures.
 //
 // A Task never blocks. Each kernel primitive (Event.Wait, Resource.Acquire
 // and Use, Barrier.Wait, Task.Sleep) takes the rest of the computation as
@@ -36,7 +14,7 @@ var (
 // the primitive's fast path needs no wait (consuming no sequence number).
 // A Task's body must call End exactly once, after its last continuation
 // has run; a drained event heap with un-ended Tasks is a deadlock,
-// diagnosed by Run exactly as for parked processes.
+// diagnosed by Run.
 type Task struct {
 	env   *Env
 	name  string
@@ -47,25 +25,24 @@ type Task struct {
 }
 
 // StartTask creates a task and schedules its body to run at the current
-// virtual time, exactly as Env.Process schedules a new process's first
-// slice. The body receives the task and typically arms its first
+// virtual time. The body receives the task and typically arms its first
 // continuation before returning.
 func (e *Env) StartTask(name string, fn func(t *Task)) *Task {
 	e.nextTID++
 	t := &Task{env: e, name: name, tid: e.nextTID}
 	e.tasksLive++
-	e.schedule(e.now, nil, func() { fn(t) })
+	e.schedule(e.now, func() { fn(t) })
 	return t
 }
 
 // ContextTask returns a Task that serves purely as an execution context —
-// an Actor identity with a clock and a per-operation context slot — for
+// an identity with a clock and a per-operation context slot — for
 // continuation-style code whose lifecycle is tracked by its owner rather
 // than by the kernel. Pooled RPC frames use one as the server-side actor
 // for span nesting and kernel primitives, reusing it across every call the
-// frame carries. A context task is never counted live (the caller whose
-// call it serves already is), has no scheduled body, and must never call
-// End.
+// frame carries; a script uses one to drive operations through Await. A
+// context task is never counted live (its owner tracks it), has no
+// scheduled body, and must never call End.
 func (e *Env) ContextTask(name string) *Task {
 	e.nextTID++
 	return &Task{env: e, name: name, tid: e.nextTID}
@@ -80,9 +57,9 @@ func (t *Task) Env() *Env { return t.env }
 // Now returns the current virtual time.
 func (t *Task) Now() Time { return t.env.now }
 
-// Done returns an event triggered when the task calls End. Like
-// Proc.Done, the event is created on first use: most tasks are never
-// watched, and an unwatched task then costs one allocation less.
+// Done returns an event triggered when the task calls End. The event is
+// created on first use: most tasks are never watched, and an unwatched
+// task then costs one allocation less.
 func (t *Task) Done() *Event {
 	if t.done == nil {
 		t.done = NewEvent(t.env)
@@ -93,22 +70,27 @@ func (t *Task) Done() *Event {
 	return t.done
 }
 
-// Ctx returns the task's context slot, or nil; see Proc.Ctx.
+// Ctx returns the task's context slot, or nil. The slot is opaque to the
+// kernel; higher layers (e.g. optrace) use it to attach per-operation state
+// without widening every call signature.
 func (t *Task) Ctx() interface{} { return t.ctx }
 
-// SetCtx stores v in the task's context slot; see Proc.SetCtx.
+// SetCtx stores v in the task's context slot. It may be called by the
+// task's own code, or by its creator before the task first runs (e.g. to
+// hand an RPC handler the caller's operation context); the kernel runs one
+// continuation at a time, so the slot needs no locking.
 func (t *Task) SetCtx(v interface{}) { t.ctx = v }
 
 // String identifies the task for diagnostics.
 func (t *Task) String() string { return fmt.Sprintf("task %d (%s)", t.tid, t.name) }
 
 // Sleep schedules k to run after d of virtual time. It consumes one
-// sequence number, exactly like Proc.Sleep.
+// sequence number.
 func (t *Task) Sleep(d Duration, k func()) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	t.env.schedule(t.env.now.Add(d), nil, k)
+	t.env.schedule(t.env.now.Add(d), k)
 }
 
 // End marks the task finished and triggers its Done event. Every task must

@@ -9,11 +9,10 @@ func TestTickFiresAtEveryBoundary(t *testing.T) {
 	env := NewEnv()
 	var fired []Time
 	env.SetTick(10*time.Microsecond, func(at Time) { fired = append(fired, at) })
-	env.Process("sleeper", func(p *Proc) {
-		p.Sleep(7 * time.Microsecond)
-		p.Sleep(18 * time.Microsecond) // clock jumps 7µs → 25µs, crossing two boundaries
-		p.Sleep(10 * time.Microsecond) // 35µs
-	})
+	s := env.ContextTask("sleeper")
+	sleep(s, 7*time.Microsecond)
+	sleep(s, 18*time.Microsecond) // clock jumps 7µs → 25µs, crossing two boundaries
+	sleep(s, 10*time.Microsecond) // 35µs
 	env.Run()
 	want := []Time{
 		Time(10 * time.Microsecond),
@@ -42,11 +41,10 @@ func TestTickSeesStateBeforeCoincidingEvent(t *testing.T) {
 			seen = x
 		}
 	})
-	env.Process("p", func(p *Proc) {
-		p.Sleep(10 * time.Microsecond)
-		x = 1
-		p.Sleep(5 * time.Microsecond)
-	})
+	s := env.ContextTask("p")
+	sleep(s, 10*time.Microsecond)
+	x = 1
+	sleep(s, 5*time.Microsecond)
 	env.Run()
 	if seen != 0 {
 		t.Errorf("tick at 10µs saw x = %d; must observe state before the coinciding event runs", seen)
@@ -64,11 +62,14 @@ func TestTickDoesNotPerturbSimulation(t *testing.T) {
 		for i, name := range []string{"a", "b", "c"} {
 			d := time.Duration(i+1) * 5 * time.Microsecond
 			n := name
-			env.Process(n, func(p *Proc) {
-				acquire(p, r, 1)
-				p.Sleep(d)
-				r.Release(1)
-				order = append(order, n)
+			env.StartTask(n, func(tk *Task) {
+				r.Acquire(tk, 1, func() {
+					tk.Sleep(d, func() {
+						r.Release(1)
+						order = append(order, n)
+						tk.End()
+					})
+				})
 			})
 		}
 		end := env.Run()
@@ -93,9 +94,7 @@ func TestTickFiresInRunUntilClamp(t *testing.T) {
 	env := NewEnv()
 	var fired []Time
 	env.SetTick(10*time.Microsecond, func(at Time) { fired = append(fired, at) })
-	env.Process("far", func(p *Proc) {
-		p.Sleep(100 * time.Microsecond)
-	})
+	env.Defer(100*time.Microsecond, func() {})
 	env.RunUntil(Time(25 * time.Microsecond))
 	// The next event is past the limit, but boundaries inside it still fire.
 	if len(fired) != 2 || fired[0] != Time(10*time.Microsecond) || fired[1] != Time(20*time.Microsecond) {
@@ -108,7 +107,7 @@ func TestTickRemoveAndBadInterval(t *testing.T) {
 	count := 0
 	env.SetTick(time.Microsecond, func(Time) { count++ })
 	env.SetTick(0, nil) // removal
-	env.Process("p", func(p *Proc) { p.Sleep(10 * time.Microsecond) })
+	sleep(env.ContextTask("p"), 10*time.Microsecond)
 	env.Run()
 	if count != 0 {
 		t.Errorf("removed observer fired %d times", count)

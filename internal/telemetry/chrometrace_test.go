@@ -20,14 +20,13 @@ func TestChromeTraceEscaping(t *testing.T) {
 	env := sim.NewEnv()
 	col := optrace.NewCollector()
 	col.Keep = true
-	env.Process("ops", func(p *sim.Proc) {
-		col.Begin(p, hostile)
-		sp := optrace.StartSpan(p, optrace.LayerFuse, hostile)
-		sp.SetAttr(hostile, hostile)
-		p.Sleep(time.Microsecond)
-		sp.End(p)
-		col.End(p)
-	})
+	p := env.ContextTask("ops")
+	col.Begin(p, hostile)
+	sp := optrace.StartSpan(p, optrace.LayerFuse, hostile)
+	sp.SetAttr(hostile, hostile)
+	sleep(p, time.Microsecond)
+	sp.End(p)
+	col.End(p)
 	env.Run()
 
 	var buf bytes.Buffer
@@ -73,18 +72,17 @@ func counterTrackRun(t *testing.T) []byte {
 	col := optrace.NewCollector()
 	col.Keep = true
 	smp := telemetry.NewSampler(env, reg, 10*time.Microsecond)
-	env.Process("w", func(p *sim.Proc) {
-		for i := 0; i < 8; i++ {
-			col.Begin(p, "op")
-			sp := optrace.StartSpan(p, optrace.LayerFuse, "op")
-			t0 := p.Now()
-			p.Sleep(3 * time.Microsecond)
-			h.ObserveSince(p, t0)
-			ops++
-			sp.End(p)
-			col.End(p)
-		}
-	})
+	p := env.ContextTask("w")
+	for i := 0; i < 8; i++ {
+		col.Begin(p, "op")
+		sp := optrace.StartSpan(p, optrace.LayerFuse, "op")
+		t0 := p.Now()
+		sleep(p, 3*time.Microsecond)
+		h.ObserveSince(p, t0)
+		ops++
+		sp.End(p)
+		col.End(p)
+	}
 	env.Run()
 	smp.Sample(env.Now())
 	smp.Stop()
@@ -164,14 +162,13 @@ func TestTracklessExportUnchanged(t *testing.T) {
 	env := sim.NewEnv()
 	col := optrace.NewCollector()
 	col.Keep = true
-	env.Process("ops", func(p *sim.Proc) {
-		col.Begin(p, "read")
-		sp := optrace.StartSpan(p, optrace.LayerFuse, "read")
-		sp.SetAttr("bytes", "4096")
-		p.Sleep(time.Microsecond)
-		sp.End(p)
-		col.End(p)
-	})
+	p := env.ContextTask("ops")
+	col.Begin(p, "read")
+	sp := optrace.StartSpan(p, optrace.LayerFuse, "read")
+	sp.SetAttr("bytes", "4096")
+	sleep(p, time.Microsecond)
+	sp.End(p)
+	col.End(p)
 	env.Run()
 	var a, b bytes.Buffer
 	if err := telemetry.WriteChromeTrace(&a, col.Ops()); err != nil {

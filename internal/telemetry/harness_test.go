@@ -14,11 +14,9 @@ func TestRegisterHarness(t *testing.T) {
 	RegisterHarness(reg)
 
 	env := sim.NewEnv()
-	env.Process("spin", func(p *sim.Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(1)
-		}
-	})
+	for i := 0; i < 100; i++ {
+		env.Defer(sim.Duration(i+1), func() {})
+	}
 	env.Run()
 
 	v, ok := reg.Value("harness.events_total")

@@ -35,13 +35,13 @@ func (h *Hist) Observe(d sim.Duration) {
 	h.h.Observe(d)
 }
 
-// ObserveSince records the time elapsed since t0 on a's clock. It exists
-// for the deferred-call idiom — `defer h.ObserveSince(p, t0)` evaluates
-// its arguments at the defer site but reads Now at return, capturing the
-// full span of the surrounding operation without a closure allocation.
+// ObserveSince records the time elapsed since t0 on a's clock. Layers call
+// it in an operation's completion continuation, with t0 read when the
+// operation started, so the whole span of the operation lands in h
+// without a closure allocation.
 //
-//imcalint:hotpath the defer-site idiom exists precisely to avoid allocation; the callee must hold the line
-func (h *Hist) ObserveSince(a sim.Actor, t0 sim.Time) {
+//imcalint:hotpath called in every instrumented layer's completion continuation; the callee must hold the line
+func (h *Hist) ObserveSince(a *sim.Task, t0 sim.Time) {
 	if h == nil {
 		return
 	}

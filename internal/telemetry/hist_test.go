@@ -97,20 +97,19 @@ func samplerHistRun(t *testing.T) *telemetry.Sampler {
 	reg := telemetry.NewRegistry()
 	h := reg.Hist("lat")
 	smp := telemetry.NewSampler(env, reg, 100*time.Microsecond)
-	env.Process("w", func(p *sim.Proc) {
-		// Op end times avoid the 100µs tick boundaries so every
-		// observation lands unambiguously inside one interval.
-		for i := 0; i < 10; i++ { // first interval: 9µs ops, ending by 90µs
-			t0 := p.Now()
-			p.Sleep(9 * time.Microsecond)
-			h.ObserveSince(p, t0)
-		}
-		for i := 0; i < 30; i++ { // 3µs ops, ending at 93..180µs
-			t0 := p.Now()
-			p.Sleep(3 * time.Microsecond)
-			h.ObserveSince(p, t0)
-		}
-	})
+	p := env.ContextTask("w")
+	// Op end times avoid the 100µs tick boundaries so every
+	// observation lands unambiguously inside one interval.
+	for i := 0; i < 10; i++ { // first interval: 9µs ops, ending by 90µs
+		t0 := p.Now()
+		sleep(p, 9*time.Microsecond)
+		h.ObserveSince(p, t0)
+	}
+	for i := 0; i < 30; i++ { // 3µs ops, ending at 93..180µs
+		t0 := p.Now()
+		sleep(p, 3*time.Microsecond)
+		h.ObserveSince(p, t0)
+	}
 	env.Run()
 	smp.Sample(env.Now())
 	smp.Stop()

@@ -14,6 +14,11 @@ import (
 	"imca/internal/workload"
 )
 
+// sleep blocks the script p for d of virtual time.
+func sleep(p *sim.Task, d sim.Duration) {
+	sim.Await(p, func(t *sim.Task, done func()) { t.Sleep(d, done) })
+}
+
 func TestRegistryKindsAndOrder(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var reads uint64 = 7
@@ -106,12 +111,11 @@ func TestSamplerBoundariesAndFinalSample(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("ops", func() uint64 { return ops })
 	smp := telemetry.NewSampler(env, reg, 10*time.Microsecond)
-	env.Process("worker", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(7 * time.Microsecond) // increments at 7, 14, 21, 28, 35µs
-			ops++
-		}
-	})
+	p := env.ContextTask("worker")
+	for i := 0; i < 5; i++ {
+		sleep(p, 7*time.Microsecond) // increments at 7, 14, 21, 28, 35µs
+		ops++
+	}
 	env.Run()
 	smp.Sample(env.Now()) // close the series
 	smp.Sample(env.Now()) // duplicate: ignored
@@ -146,11 +150,11 @@ func TestSamplerBackfillsLateInstruments(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("early", func() uint64 { return 1 })
 	smp := telemetry.NewSampler(env, reg, 10*time.Microsecond)
-	env.Process("a", func(p *sim.Proc) { p.Sleep(25 * time.Microsecond) })
+	sleep(env.ContextTask("a"), 25*time.Microsecond)
 	env.Run() // samples at 10µs and 20µs
 
 	reg.Counter("late", func() uint64 { return 7 })
-	env.Process("b", func(p *sim.Proc) { p.Sleep(10 * time.Microsecond) })
+	sleep(env.ContextTask("b"), 10*time.Microsecond)
 	env.Run() // sample at 30µs
 	smp.Stop()
 
@@ -174,12 +178,11 @@ func TestSamplerDoesNotAdvanceClock(t *testing.T) {
 			reg.Counter("n", func() uint64 { return n })
 			telemetry.NewSampler(env, reg, 3*time.Microsecond)
 		}
-		env.Process("w", func(p *sim.Proc) {
-			for i := 0; i < 10; i++ {
-				p.Sleep(5 * time.Microsecond)
-				n++
-			}
-		})
+		p := env.ContextTask("w")
+		for i := 0; i < 10; i++ {
+			sleep(p, 5*time.Microsecond)
+			n++
+		}
 		end := env.Run()
 		return end, env.EventsProcessed
 	}
@@ -210,22 +213,21 @@ func TestWriteChromeTrace(t *testing.T) {
 	env := sim.NewEnv()
 	col := optrace.NewCollector()
 	col.Keep = true
-	env.Process("ops", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			col.Begin(p, "read")
-			root := optrace.StartSpan(p, optrace.LayerFuse, "read")
-			p.Sleep(5 * time.Microsecond)
-			inner := optrace.StartSpan(p, optrace.LayerPosix, "disk")
-			inner.SetAttr("bytes", "4096")
-			p.Sleep(20 * time.Microsecond)
-			inner.End(p)
-			root.End(p)
-			col.End(p)
-		}
-		col.Begin(p, "noop") // an op with no spans still gets one event
-		p.Sleep(time.Microsecond)
+	p := env.ContextTask("ops")
+	for i := 0; i < 3; i++ {
+		col.Begin(p, "read")
+		root := optrace.StartSpan(p, optrace.LayerFuse, "read")
+		sleep(p, 5*time.Microsecond)
+		inner := optrace.StartSpan(p, optrace.LayerPosix, "disk")
+		inner.SetAttr("bytes", "4096")
+		sleep(p, 20*time.Microsecond)
+		inner.End(p)
+		root.End(p)
 		col.End(p)
-	})
+	}
+	col.Begin(p, "noop") // an op with no spans still gets one event
+	sleep(p, time.Microsecond)
+	col.End(p)
 	env.Run()
 
 	var buf bytes.Buffer

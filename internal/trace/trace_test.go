@@ -16,22 +16,21 @@ func record(t *testing.T) *Trace {
 	tr := &Trace{}
 	rec0 := NewRecorder(c.Mounts[0].FS, tr, 0)
 	rec1 := NewRecorder(c.Mounts[1].FS, tr, 1)
-	c.Env.Process("driver", func(p *sim.Proc) {
-		fd, err := blocking(rec0).Create(p, "/t/a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocking(rec0).Write(p, fd, 0, blob.Synthetic(3, 0, 8192))
-		blocking(rec0).Read(p, fd, 100, 200)
-		blocking(rec0).Stat(p, "/t/a")
-		blocking(rec0).Close(p, fd)
+	p := c.Env.ContextTask("driver")
+	fd, err := blocking(rec0).Create(p, "/t/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocking(rec0).Write(p, fd, 0, blob.Synthetic(3, 0, 8192))
+	blocking(rec0).Read(p, fd, 100, 200)
+	blocking(rec0).Stat(p, "/t/a")
+	blocking(rec0).Close(p, fd)
 
-		fd1, _ := blocking(rec1).Create(p, "/t/b")
-		blocking(rec1).Write(p, fd1, 4096, blob.Synthetic(4, 4096, 1000))
-		blocking(rec1).Read(p, fd1, 0, 5096)
-		blocking(rec1).Close(p, fd1)
-		blocking(rec1).Unlink(p, "/t/b")
-	})
+	fd1, _ := blocking(rec1).Create(p, "/t/b")
+	blocking(rec1).Write(p, fd1, 4096, blob.Synthetic(4, 4096, 1000))
+	blocking(rec1).Read(p, fd1, 0, 5096)
+	blocking(rec1).Close(p, fd1)
+	blocking(rec1).Unlink(p, "/t/b")
 	c.Env.Run()
 	return tr
 }
@@ -113,14 +112,13 @@ func TestReplayAgainstFreshCluster(t *testing.T) {
 		t.Error("read latency not measured")
 	}
 	// The replayed namespace reflects the trace: /t/a exists, /t/b gone.
-	c.Env.Process("verify", func(p *sim.Proc) {
-		if _, err := blocking(c.Mounts[0].FS).Stat(p, "/t/a"); err != nil {
-			t.Errorf("stat /t/a after replay: %v", err)
-		}
-		if _, err := blocking(c.Mounts[0].FS).Stat(p, "/t/b"); err == nil {
-			t.Error("/t/b exists after replayed unlink")
-		}
-	})
+	p := c.Env.ContextTask("verify")
+	if _, err := blocking(c.Mounts[0].FS).Stat(p, "/t/a"); err != nil {
+		t.Errorf("stat /t/a after replay: %v", err)
+	}
+	if _, err := blocking(c.Mounts[0].FS).Stat(p, "/t/b"); err == nil {
+		t.Error("/t/b exists after replayed unlink")
+	}
 	c.Env.Run()
 }
 
@@ -170,14 +168,13 @@ func TestRecorderAndReplayDirectoryOps(t *testing.T) {
 	c := cluster.New(cluster.Options{Clients: 1})
 	tr := &Trace{}
 	rec := NewRecorder(c.Mounts[0].FS, tr, 0)
-	c.Env.Process("t", func(p *sim.Proc) {
-		blocking(rec).Mkdir(p, "/dirs/sub")
-		fd, _ := blocking(rec).Create(p, "/dirs/sub/f")
-		blocking(rec).Write(p, fd, 0, blob.Synthetic(1, 0, 100))
-		blocking(rec).Truncate(p, "/dirs/sub/f", 10)
-		blocking(rec).Readdir(p, "/dirs/sub")
-		blocking(rec).Close(p, fd)
-	})
+	p := c.Env.ContextTask("t")
+	blocking(rec).Mkdir(p, "/dirs/sub")
+	fd, _ := blocking(rec).Create(p, "/dirs/sub/f")
+	blocking(rec).Write(p, fd, 0, blob.Synthetic(1, 0, 100))
+	blocking(rec).Truncate(p, "/dirs/sub/f", 10)
+	blocking(rec).Readdir(p, "/dirs/sub")
+	blocking(rec).Close(p, fd)
 	c.Env.Run()
 	kinds := map[Kind]bool{}
 	for _, op := range tr.Ops {
@@ -195,12 +192,11 @@ func TestRecorderAndReplayDirectoryOps(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("replay errors: %d", res.Errors)
 	}
-	c2.Env.Process("verify", func(p *sim.Proc) {
-		st, err := blocking(c2.Mounts[0].FS).Stat(p, "/dirs/sub/f")
-		if err != nil || st.Size != 10 {
-			t.Errorf("replayed truncate: %+v, %v", st, err)
-		}
-	})
+	p = c2.Env.ContextTask("verify")
+	st, err := blocking(c2.Mounts[0].FS).Stat(p, "/dirs/sub/f")
+	if err != nil || st.Size != 10 {
+		t.Errorf("replayed truncate: %+v, %v", st, err)
+	}
 	c2.Env.Run()
 }
 

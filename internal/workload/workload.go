@@ -224,7 +224,7 @@ type LatencyResult struct {
 // traceStart begins a traced operation on the client actor when tracing is
 // enabled and opens its root span; both helpers are no-ops with a nil
 // collector slice.
-func traceStart(a sim.Actor, cols []*optrace.Collector, si int, name string) *optrace.Span {
+func traceStart(a *sim.Task, cols []*optrace.Collector, si int, name string) *optrace.Span {
 	if cols == nil {
 		return nil
 	}
@@ -234,7 +234,7 @@ func traceStart(a sim.Actor, cols []*optrace.Collector, si int, name string) *op
 
 // traceEnd closes the root span and folds the finished operation into its
 // record size's breakdown.
-func traceEnd(a sim.Actor, cols []*optrace.Collector, si int, root *optrace.Span) {
+func traceEnd(a *sim.Task, cols []*optrace.Collector, si int, root *optrace.Span) {
 	if cols == nil {
 		return
 	}
