@@ -81,26 +81,21 @@ func TestHealLinkRestores(t *testing.T) {
 func TestDegradeLinkScalesLegs(t *testing.T) {
 	env, a, b := newPair(t, IPoIB)
 
-	var healthy, degraded, healed sim.Duration
-	timed := func(out *sim.Duration) func(p *sim.Task) {
-		return func(p *sim.Task) {
-			start := p.Now()
-			if _, err := syncCall(p, a, b, "echo", Bytes(4096)); err != nil {
-				t.Errorf("call failed: %v", err)
-			}
-			*out = p.Now().Sub(start)
+	timed := func(name string) sim.Duration {
+		p := env.ContextTask(name)
+		start := p.Now()
+		if _, err := syncCall(p, a, b, "echo", Bytes(4096)); err != nil {
+			t.Errorf("call failed: %v", err)
 		}
+		d := p.Now().Sub(start)
+		env.Run()
+		return d
 	}
-	timed(&healthy)(env.ContextTask("healthy"))
-	env.Run()
-
+	healthy := timed("healthy")
 	a.net.DegradeLink("a", "b", 4, 0.25)
-	timed(&degraded)(env.ContextTask("degraded"))
-	env.Run()
-
+	degraded := timed("degraded")
 	a.net.HealLink("a", "b")
-	timed(&healed)(env.ContextTask("healed"))
-	env.Run()
+	healed := timed("healed")
 
 	// 4x latency and 1/4 bandwidth stretch every wire leg; the RTT must
 	// grow by well over 2x (host CPU costs are unscaled) but stay finite.
